@@ -2,12 +2,13 @@
 
 from .apery import (AperyAnalysis, analyze, apery_set, check_addition_rule,
                     depth, layer_index, report, summand_closure_check,
-                    total_depth, wilf_w, wilf_w_apery)
-from .enumeration import (GENUS_HARD_CAP, GenusCensus, WilfReport, census,
-                     iter_semigroups, run_census, sample_semigroups,
-                     verify_wilf_range)
+                    total_depth, wilf_w)
+from .enumeration import (BUCKETS, GENUS_HARD_CAP, GenusCensus, WilfReport,
+                          census, iter_semigroups, run_census,
+                          sample_semigroups, verify_wilf_range)
 from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
-                     InvalidTruncation, NonCoprimeGenerators, NotAMember,
+                     InvalidTruncation, InvariantViolation,
+                     NonCoprimeGenerators, NotAMember,
                      NotEdgeMaximal, RealizationFailed, TooLarge,
                      WilfCounterexample, WilfgraphError, WindowTooSmall)
 from .loopy import (LoopyGraph, all_loopy_graphs, loopy_complete,
@@ -28,8 +29,9 @@ from .semigroup import (NumericalSemigroup, format_generators,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyAnalysis", "EmptyGenerators", "GENUS_HARD_CAP", "GenusCensus",
-    "Infeasible", "InconsistentDepths", "InvalidTruncation", "LoopyGraph",
+    "AperyAnalysis", "BUCKETS", "EmptyGenerators", "GENUS_HARD_CAP",
+    "GenusCensus", "Infeasible", "InconsistentDepths", "InvalidTruncation",
+    "InvariantViolation", "LoopyGraph",
     "MatchingAnalysis", "NonCoprimeGenerators", "NotAMember",
     "NotEdgeMaximal", "NumericalSemigroup", "RealizationPlan",
     "TooLarge", "WeightAnalysis", "WilfCounterexample", "WilfReport",
@@ -44,5 +46,5 @@ __all__ = [
     "structural_lemma_suite", "summand_closure_check", "tau_bound_holds",
     "tau_lower_bound", "total_depth", "verify_realization",
     "verify_wilf_range", "vertex_maximal_matching", "vm", "weight_analysis",
-    "wilf_w", "wilf_w_apery",
+    "wilf_w",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAMember
+from .errors import InvariantViolation, NotAMember
 from .semigroup import NumericalSemigroup
 
 
@@ -77,16 +77,13 @@ def analyze(S: NumericalSemigroup) -> AperyAnalysis:
     x_prim = frozenset(v for v in x if v in prim)
     x_dec = frozenset(x) - x_prim
     w = len(prim) * tau - len(x_dec) * q + rho
-    assert w == wilf_w(S)              # Wilf formula identity
-    assert m == len(prim) + len(x_dec)
+    if w != wilf_w(S):
+        raise InvariantViolation(f"W(S) is {wilf_w(S)} but the Apery formula "
+                                 f"gives {w} for {S!r}")
+    if m != len(prim) + len(x_dec):
+        raise InvariantViolation(f"m = {m} but |P| + |X n D| = "
+                                 f"{len(prim) + len(x_dec)} for {S!r}")
     return AperyAnalysis(x, depth_of, q, rho, tau, x_prim, x_dec, w)
-
-
-def wilf_w_apery(S: NumericalSemigroup) -> int:
-    """W(S) computed from the Apery side: |P|*tau(X) - |X n D|*q + rho."""
-    a = analyze(S)
-    return len(S.min_generators) * a.tau_x - len(a.x_decomposable) * a.depth_q \
-        + a.rho
 
 
 def _layer(S: NumericalSemigroup, i: int, rho: int) -> list[int]:

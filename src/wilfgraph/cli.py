@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: info, graph, enumerate, verify, realize, extremal. Exit codes:
-0 success, 1 usage error, 2 invariant/assertion failure (e.g. a hypothetical
-Wilf violation), 3 I/O error.
+0 success, 1 usage error, 2 invariant failure (e.g. a hypothetical Wilf
+violation), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import apery, enumeration, matching, semigraph
 from .realize import realize as _realize
 from .errors import (Infeasible, NonCoprimeGenerators, EmptyGenerators,
-                     InconsistentDepths, InvalidTruncation, RealizationFailed,
-                     TooLarge, WilfCounterexample, WindowTooSmall)
+                     InconsistentDepths, InvalidTruncation, InvariantViolation,
+                     RealizationFailed, TooLarge, WilfCounterexample,
+                     WindowTooSmall)
 from .loopy import LoopyGraph
 from .semigroup import (NumericalSemigroup, format_generators,
                         from_generators, from_generators_truncated,
@@ -26,35 +26,19 @@ from .semigroup import (NumericalSemigroup, format_generators,
 _USAGE_ERRORS = (EmptyGenerators, NonCoprimeGenerators, InvalidTruncation,
                  WindowTooSmall, Infeasible, TooLarge, ValueError)
 _INVARIANT_ERRORS = (WilfCounterexample, InconsistentDepths,
-                     RealizationFailed, AssertionError)
+                     RealizationFailed, InvariantViolation)
+# verify's table labels, one per enumeration.BUCKETS entry
+_BUCKET_LABELS = ("|P| <= 3", "q <= 3", "|P| >= m/2", "|P| >= m/3",
+                  "any of these")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """One validated CLI invocation."""
-
-    command: str
-    gens: str | None = None
-    trunc: int | None = None
-    graph_file: str | None = None
-    genus_max: int = 0
-    workers: int = 1
-    fmt: str = "table"
-    out: str | None = None
-    classes: bool = False
-    n: int = 0
-    k: int = 0
-    lambda_: int | None = None
-    seed: int = 0
 
 
 def _build_parser() -> _Parser:
@@ -107,22 +91,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("gens", "trunc", "graph_file", "genus_max", "workers", "fmt",
-                 "out", "classes", "n", "k", "lambda_", "seed"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if cfg.workers < 1:
+def _validate(args) -> None:
+    if getattr(args, "workers", 1) < 1:
         raise _UsageError("--workers must be at least 1")
-    if cfg.genus_max > enumeration.GENUS_HARD_CAP:
+    if getattr(args, "genus_max", 0) > enumeration.GENUS_HARD_CAP:
         raise _UsageError(f"--genus-max capped at {enumeration.GENUS_HARD_CAP}")
-    if cfg.command in ("info", "graph") and bool(cfg.gens) == bool(cfg.graph_file):
-        if cfg.command == "info" and not cfg.gens:
-            raise _UsageError("info requires --gens")
-        if cfg.command == "graph":
-            raise _UsageError("graph requires exactly one of --gens / --graph")
-    return cfg
+    if args.command == "info" and not args.gens:
+        raise _UsageError("info requires --gens")
+    if args.command == "graph" and bool(args.gens) == bool(args.graph_file):
+        raise _UsageError("graph requires exactly one of --gens / --graph")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -133,12 +110,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _semigroup(cfg: RunConfig) -> NumericalSemigroup:
-    gens, trunc = parse_generators(cfg.gens)
-    if cfg.trunc is not None:
-        if trunc is not None and trunc != cfg.trunc:
+def _semigroup(args) -> NumericalSemigroup:
+    gens, trunc = parse_generators(args.gens)
+    if args.trunc is not None:
+        if trunc is not None and trunc != args.trunc:
             raise _UsageError("--trunc conflicts with the |t= suffix")
-        trunc = cfg.trunc
+        trunc = args.trunc
     if trunc is None:
         return from_generators(gens)
     return from_generators_truncated(gens, trunc)
@@ -150,17 +127,14 @@ def _frac(numer: int, denom: int) -> str:
     return f"{numer}/{denom} ({numer / denom:.6f})"
 
 
-def cmd_info(cfg: RunConfig) -> int:
-    S = _semigroup(cfg)
-    data = apery.report(S)
-    w_direct = apery.wilf_w(S)
-    w_apery = apery.wilf_w_apery(S)
-    assert w_direct == w_apery
-    data["W_apery"] = w_apery
-    data["wilf_holds"] = w_direct >= 0
+def cmd_info(args) -> int:
+    S = _semigroup(args)
+    data = apery.report(S)      # analyze checks W against |P||L| - c
+    data["W_apery"] = data["W"]
+    data["wilf_holds"] = data["W"] >= 0
     data["P_ge_m_over_3"] = 3 * len(S.min_generators) >= S.multiplicity
-    if cfg.fmt == "json":
-        _emit(json.dumps(data, indent=2, sort_keys=True), cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(data, indent=2, sort_keys=True), args.out)
         return 0
     lines = [f"S = <{format_generators(S)}>"]
     for key in ("m", "f", "c", "g", "q", "rho", "L_size", "tau_X"):
@@ -168,11 +142,11 @@ def cmd_info(cfg: RunConfig) -> int:
     lines.append(f"  P        {data['P']}")
     lines.append(f"  X        {data['X']}")
     lines.append(f"  X cap D  {data['X_cap_D']}")
-    lines.append(f"  W(S)     {w_direct}  (|P||L| - c)")
-    lines.append(f"  W(S)     {w_apery}  (|P| tau(X) - |X cap D| q + rho)")
+    lines.append(f"  W(S)     {data['W']}  (|P||L| - c)")
+    lines.append(f"  W(S)     {data['W']}  (|P| tau(X) - |X cap D| q + rho)")
     lines.append(f"  Wilf holds: {'yes' if data['wilf_holds'] else 'NO'}")
     lines.append(f"  |P| >= m/3: {'yes' if data['P_ge_m_over_3'] else 'no'}")
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -181,12 +155,12 @@ def _load_graph(path: str) -> LoopyGraph:
         return LoopyGraph.from_json(json.load(fh))
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    if cfg.graph_file:
-        G = _load_graph(cfg.graph_file)
+def cmd_graph(args) -> int:
+    if args.graph_file:
+        G = _load_graph(args.graph_file)
         weak: frozenset = frozenset()
     else:
-        S = _semigroup(cfg)
+        S = _semigroup(args)
         ap = apery.analyze(S)
         G = semigraph.build_graph(S, ap)
         weak, _ = semigraph.classify_edges(G, ap)
@@ -200,18 +174,18 @@ def cmd_graph(cfg: RunConfig) -> int:
         "weak": len(ma.weak_edges),
         "active": len(ma.active_edges),
     }
-    if cfg.fmt == "dot":
-        _emit(G.to_dot(weak=ma.weak_edges, active=ma.active_edges), cfg.out)
+    if args.fmt == "dot":
+        _emit(G.to_dot(weak=ma.weak_edges, active=ma.active_edges), args.out)
         return 0
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = G.to_json()
         payload["analysis"] = summary
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return 0
     lines = []
     if G.n == 0:
         lines.append("empty graph (maximal embedding dimension semigroup)"
-                     if not cfg.graph_file else "empty graph")
+                     if not args.graph_file else "empty graph")
     lines.append(f"vertices {G.n}, edges {G.edge_count} "
                  f"({len(G.true_edges)} true + {G.loop_count} loops)")
     lines.append(f"vm k = {ma.vm}, lambda = {ma.loop_count}, nu = {ma.nu}")
@@ -219,29 +193,29 @@ def cmd_graph(cfg: RunConfig) -> int:
                  f"|E+| = {len(ma.active_edges)} active")
     if G.n:
         lines.append(f"loops at {sorted(G.loops)}")
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    result = enumeration.run_census(cfg.genus_max, workers=cfg.workers,
-                               classes=cfg.classes)
+def cmd_enumerate(args) -> int:
+    result = enumeration.run_census(args.genus_max, workers=args.workers,
+                               classes=args.classes)
     rows = []
-    for g in range(cfg.genus_max + 1):
+    for g in range(args.genus_max + 1):
         stats = result[g]
         frac = stats.p_ge_third_fraction
         rows.append((g, stats.count_ng,
-                     stats.class_count_gamma if cfg.classes else "",
+                     stats.class_count_gamma if args.classes else "",
                      len(stats.wilf_violations),
                      f"{float(frac):.6f}" if stats.count_ng else "0.000000"))
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["g,n_g,gamma_g,wilf_violations,frac_P_ge_m3"]
         lines += [",".join(map(str, row)) for row in rows]
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
         return 0
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {}
-        for g in range(cfg.genus_max + 1):
+        for g in range(args.genus_max + 1):
             stats = result[g]
             item = {
                 "n_g": stats.count_ng,
@@ -252,7 +226,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                     "decimal": f"{float(stats.p_ge_third_fraction):.6f}",
                 },
             }
-            if cfg.classes:
+            if args.classes:
                 item["gamma_g"] = stats.class_count_gamma
                 item["classes"] = {
                     key: {"count": stats.class_keys[key],
@@ -260,77 +234,71 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                     for key in sorted(stats.class_keys)
                 }
             payload[str(g)] = item
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return 0
     header = f"{'g':>3} {'n_g':>9} {'gamma_g':>9} {'wilf_viol':>9} {'frac |P|>=m/3':>14}"
     lines = [header]
     for row in rows:
         lines.append(f"{row[0]:>3} {row[1]:>9} {str(row[2]):>9} "
                      f"{row[3]:>9} {row[4]:>14}")
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = enumeration.verify_wilf_range(cfg.genus_max, workers=cfg.workers)
+def cmd_verify(args) -> int:
+    report = enumeration.verify_wilf_range(args.genus_max, workers=args.workers)
+    exhaustive_cap = min(args.genus_max, 12)
+    suites = (enumeration.iter_semigroups(exhaustive_cap),
+              (S for g in range(13, args.genus_max + 1)
+               for S in enumeration.sample_semigroups(g, 25,
+                                                      seed=args.seed + g)))
     failures: list[str] = []
-    exhaustive_cap = min(cfg.genus_max, 12)
-    checked = 0
-    for S in enumeration.iter_semigroups(exhaustive_cap):
-        checked += 1
-        bad = [k for k, ok in semigraph.invariant_report(S).items() if not ok]
-        if bad:
-            failures.append(f"genus {S.genus} {S.min_generators}: {bad}")
-    sampled = 0
-    for g in range(13, cfg.genus_max + 1):
-        for S in enumeration.sample_semigroups(g, 25, seed=cfg.seed + g):
-            sampled += 1
+    counts = []
+    for stream in suites:
+        counts.append(0)
+        for S in stream:
+            counts[-1] += 1
             bad = [k for k, ok in semigraph.invariant_report(S).items()
                    if not ok]
             if bad:
-                failures.append(f"genus {g} {S.min_generators}: {bad}")
+                failures.append(f"genus {S.genus} {S.min_generators}: {bad}")
+    checked, sampled = counts
     data = {
-        "genus_max": cfg.genus_max,
+        "genus_max": args.genus_max,
         "semigroups": report.total,
         "wilf_violations": len(report.violations),
         "invariants_checked_exhaustive": checked,
         "invariants_checked_sampled": sampled,
         "invariant_failures": failures,
-        "bucket_p_le_3": report.bucket_p_le_3,
-        "bucket_q_le_3": report.bucket_q_le_3,
-        "bucket_p_ge_half_m": report.bucket_p_ge_half_m,
-        "bucket_p_ge_third_m": report.bucket_p_ge_third_m,
-        "bucket_covered": report.covered,
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(data, indent=2, sort_keys=True), cfg.out)
+    data.update((f"bucket_{name}", report.buckets[name])
+                for name in enumeration.BUCKETS)
+    if args.fmt == "json":
+        _emit(json.dumps(data, indent=2, sort_keys=True), args.out)
     else:
         lines = [
-            f"semigroups up to genus {cfg.genus_max}: {report.total}",
+            f"semigroups up to genus {args.genus_max}: {report.total}",
             f"Wilf violations: {len(report.violations)}",
             f"invariant suite: {checked} exhaustive (genus <= {exhaustive_cap})"
             f" + {sampled} sampled, {len(failures)} failures",
             "known-case buckets (overlapping):",
-            f"  |P| <= 3      {report.bucket_p_le_3}",
-            f"  q <= 3        {report.bucket_q_le_3}",
-            f"  |P| >= m/2    {report.bucket_p_ge_half_m}",
-            f"  |P| >= m/3    {report.bucket_p_ge_third_m}",
-            f"  any of these  {report.covered}",
         ]
+        lines += [f"  {label:<14}{report.buckets[name]}"
+                  for label, name in zip(_BUCKET_LABELS, enumeration.BUCKETS)]
         lines += [f"  FAILURE {f}" for f in failures]
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 2 if failures else 0
 
 
-def cmd_realize(cfg: RunConfig) -> int:
-    G = _load_graph(cfg.graph_file)
+def cmd_realize(args) -> int:
+    G = _load_graph(args.graph_file)
     plan = _realize(G)
     cert = plan.certificate()
     if not cert["verified"]:
         raise RealizationFailed("certificate did not verify")
     gens_text = format_generators(plan.result)
-    if cfg.fmt == "json":
-        _emit(json.dumps(cert, indent=2, sort_keys=True), cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(cert, indent=2, sort_keys=True), args.out)
         return 0
     lines = [
         f"gens: {gens_text}|t={2 * plan.multiplicity}",
@@ -338,29 +306,29 @@ def cmd_realize(cfg: RunConfig) -> int:
         f"erased = {list(plan.erase_generators)}",
         f"certificate: {json.dumps(cert, sort_keys=True)}",
     ]
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_extremal(cfg: RunConfig) -> int:
-    best, witnesses = matching.extremal_edge_search(cfg.n, cfg.k, cfg.lambda_)
-    if cfg.fmt == "dot":
-        if cfg.out is not None:
+def cmd_extremal(args) -> int:
+    best, witnesses = matching.extremal_edge_search(args.n, args.k, args.lambda_)
+    if args.fmt == "dot":
+        if args.out is not None:
             # one DOT file per witness under the output directory
-            os.makedirs(cfg.out, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
             for i, w in enumerate(witnesses):
-                with open(os.path.join(cfg.out, f"witness_{i}.dot"), "w") as fh:
+                with open(os.path.join(args.out, f"witness_{i}.dot"), "w") as fh:
                     fh.write(w.to_dot())
-            print(f"wrote {len(witnesses)} witness files to {cfg.out}")
+            print(f"wrote {len(witnesses)} witness files to {args.out}")
         else:
             _emit("\n".join(w.to_dot() for w in witnesses), None)
         return 0
-    lines = [f"max edges = {best} over loopy graphs with n={cfg.n}, k={cfg.k}"
-             + (f", lambda={cfg.lambda_}" if cfg.lambda_ is not None else ""),
+    lines = [f"max edges = {best} over loopy graphs with n={args.n}, k={args.k}"
+             + (f", lambda={args.lambda_}" if args.lambda_ is not None else ""),
              f"witnesses: {len(witnesses)}"]
     for w in witnesses:
         lines.append(f"  edges={sorted(w.true_edges)} loops={sorted(w.loops)}")
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -375,18 +343,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

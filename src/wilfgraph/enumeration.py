@@ -18,14 +18,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from multiprocessing import get_context
 
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
+from .semigraph import neighbor_masks
 from .semigroup import NumericalSemigroup
 
 GENUS_HARD_CAP = 30
-_FRONTIER_GENUS = 8
+_SPLIT_GENUS = 9
 
 # node = (mask, d, m, f, g): membership bitmask over [0, window),
 # decomposition counts d[y] = #{a <= b in S* with a + b = y}, multiplicity,
@@ -75,7 +77,19 @@ def _node_semigroup(node) -> NumericalSemigroup:
 def _node_generators(node):
     mask, d, m, f, g = node
     hi = max(f + 1 + m, m + 1)
-    return tuple(p for p in range(m, hi) if mask >> p & 1 and d[p] == 0)
+    return tuple([p for p in range(m, hi) if mask >> p & 1 and d[p] == 0])
+
+
+def _descend(node, window, cut):
+    """Depth-first stream of the subtree at ``node``, children by increasing
+    removed generator; nodes of genus ``cut`` are yielded but not expanded."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node[4] < cut:
+            for p in reversed(_child_generators(node, window)):
+                stack.append(_remove_generator(node, p, window))
 
 
 def iter_semigroups(g_max: int, genus: int | None = None):
@@ -86,14 +100,14 @@ def iter_semigroups(g_max: int, genus: int | None = None):
     if g_max < 0:
         return
     window = _window(g_max)
-    stack = [_root(window)]
-    while stack:
-        node = stack.pop()
+    for node in _descend(_root(window), window, g_max):
         if genus is None or node[4] == genus:
             yield _node_semigroup(node)
-        if node[4] < g_max:
-            for p in reversed(_child_generators(node, window)):
-                stack.append(_remove_generator(node, p, window))
+
+
+# Known cases of the Wilf inequality that the census tallies, in report
+# order; the last one counts the semigroups in at least one of the others.
+BUCKETS = ("p_le_3", "q_le_3", "p_ge_half_m", "p_ge_third_m", "covered")
 
 
 @dataclass
@@ -105,11 +119,7 @@ class GenusCensus:
     class_keys: Counter = field(default_factory=Counter)
     class_representatives: dict = field(default_factory=dict)
     wilf_violations: list = field(default_factory=list)
-    bucket_p_ge_third_m: int = 0        # semigroups with 3|P| >= m
-    bucket_p_le_3: int = 0
-    bucket_q_le_3: int = 0
-    bucket_p_ge_half_m: int = 0
-    bucket_covered: int = 0         # in at least one known-case bucket
+    buckets: Counter = field(default_factory=Counter)   # over BUCKETS
 
     @property
     def class_count_gamma(self) -> int:
@@ -117,9 +127,10 @@ class GenusCensus:
 
     @property
     def p_ge_third_fraction(self) -> Fraction:
+        """Share of the genus with 3|P| >= m."""
         if self.count_ng == 0:
             return Fraction(0)
-        return Fraction(self.bucket_p_ge_third_m, self.count_ng)
+        return Fraction(self.buckets[BUCKETS[3]], self.count_ng)
 
     def merge(self, other: "GenusCensus") -> None:
         self.count_ng += other.count_ng
@@ -128,89 +139,65 @@ class GenusCensus:
             mine = self.class_representatives.get(key)
             self.class_representatives[key] = rep if mine is None else min(mine, rep)
         self.wilf_violations += other.wilf_violations
-        self.bucket_p_ge_third_m += other.bucket_p_ge_third_m
-        self.bucket_p_le_3 += other.bucket_p_le_3
-        self.bucket_q_le_3 += other.bucket_q_le_3
-        self.bucket_p_ge_half_m += other.bucket_p_ge_half_m
-        self.bucket_covered += other.bucket_covered
+        self.buckets.update(other.buckets)
 
 
 def _graph_key(mask, m, c, cache):
-    xs = [x for x in range(m + 1, c + m)
-          if mask >> x & 1 and not mask >> (x - m) & 1]
-    xset = set(xs)
-    adj: dict[int, int] = {}
-    loops = []
-    for i, a in enumerate(xs):
-        if 2 * a in xset:
-            loops.append(a)
-            adj.setdefault(a, 0)
-        for b in xs[i + 1:]:
-            if a + b in xset:
-                adj[a] = adj.get(a, 0)
-                adj[b] = adj.get(b, 0)
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    verts = sorted(adj)
-    pos = {v: i for i, v in enumerate(verts)}
-    masks = tuple(
-        sum(1 << pos[w] for w in verts if adj[v] >> w & 1) for v in verts)
-    loopmask = sum(1 << pos[v] for v in loops)
-    sig = (len(verts), masks, loopmask)
+    # the nonzero Apery elements: members x in [m+1, c+m) with x - m a gap
+    x = (mask & ~(mask << m) & ((1 << (c + m)) - 1)) >> (m + 1) << (m + 1)
+    rows = neighbor_masks(x)
+    # the same graph over vertex positions, loops apart, for the labeling
+    position = {1 << a: 1 << i for i, a in enumerate(rows)}
+    adj = []
+    loopmask = 0
+    for i, (a, row) in enumerate(rows.items()):
+        if row >> a & 1:
+            loopmask |= 1 << i
+            row ^= 1 << a
+        out = 0
+        while row:
+            low = row & -row
+            out |= position[low]
+            row ^= low
+        adj.append(out)
+    sig = (len(rows), tuple(adj), loopmask)
     key = cache.get(sig)
     if key is None:
-        key = _canonical_key(*sig)
-        cache[sig] = key
+        key = cache[sig] = _canonical_key(*sig)
     return key
 
 
-def _tally(node, acc: dict[int, GenusCensus], classes: bool, cache) -> None:
-    mask, d, m, f, g = node
-    c = f + 1
-    stats = acc[g]
-    stats.count_ng += 1
-    gens = _node_generators(node)
-    n_p = len(gens)
-    n_l = (mask & ((1 << c) - 1)).bit_count() if c > 0 else 0
-    if n_p * n_l < c:
-        stats.wilf_violations.append(gens)
-    covered = False
-    if 3 * n_p >= m:
-        stats.bucket_p_ge_third_m += 1
-        covered = True
-    if n_p <= 3:
-        stats.bucket_p_le_3 += 1
-        covered = True
-    if c <= 3 * m:
-        stats.bucket_q_le_3 += 1
-        covered = True
-    if 2 * n_p >= m:
-        stats.bucket_p_ge_half_m += 1
-        covered = True
-    if covered:
-        stats.bucket_covered += 1
-    if classes:
-        key = _graph_key(mask, m, c, cache)
-        stats.class_keys[key] += 1
-        rep = stats.class_representatives.get(key)
-        if rep is None or gens < rep:
-            stats.class_representatives[key] = gens
-
-
-def _walk(node, g_max, window, acc, classes, cache):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        _tally(cur, acc, classes, cache)
-        if cur[4] < g_max:
-            for p in reversed(_child_generators(cur, window)):
-                stack.append(_remove_generator(cur, p, window))
+def _tally(nodes, acc: dict[int, GenusCensus], classes: bool) -> None:
+    """Add every node of a stream to the census of its genus in acc."""
+    cache: dict = {}
+    cases: dict = {}        # (genus, first four bucket tests) -> count
+    for node in nodes:
+        mask, d, m, f, g = node
+        c = f + 1
+        stats = acc[g]
+        stats.count_ng += 1
+        gens = _node_generators(node)
+        n_p = len(gens)
+        if n_p * (mask & ((1 << c) - 1)).bit_count() < c:
+            stats.wilf_violations.append(gens)
+        case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
+        cases[case] = cases.get(case, 0) + 1
+        if classes:
+            key = _graph_key(mask, m, c, cache)
+            stats.class_keys[key] += 1
+            rep = stats.class_representatives.get(key)
+            if rep is None or gens < rep:
+                stats.class_representatives[key] = gens
+    for (g, *hits), count in cases.items():
+        hits.append(any(hits))
+        for name in compress(BUCKETS, hits):
+            acc[g].buckets[name] += count
 
 
 def _subtree_job(args):
     node, g_max, window, classes = args
     acc = {g: GenusCensus(g) for g in range(node[4], g_max + 1)}
-    _walk(node, g_max, window, acc, classes, {})
+    _tally(_descend(node, window, g_max), acc, classes)
     return acc
 
 
@@ -221,28 +208,16 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}")
     window = _window(g_max)
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
-    cache: dict = {}
-    frontier_genus = min(_FRONTIER_GENUS, g_max)
-    frontier = []
-
-    stack = [_root(window)]
-    while stack:
-        node = stack.pop()
-        if workers > 1 and node[4] == frontier_genus and node[4] < g_max:
-            _tally(node, acc, classes, cache)
-            frontier.append(node)
-            continue
-        _tally(node, acc, classes, cache)
-        if node[4] < g_max:
-            for p in reversed(_child_generators(node, window)):
-                stack.append(_remove_generator(node, p, window))
-
-    if frontier:
-        jobs = []
-        for node in frontier:
-            for p in _child_generators(node, window):
-                jobs.append((_remove_generator(node, p, window), g_max,
-                             window, classes))
+    split = workers > 1 and _SPLIT_GENUS < g_max
+    nodes = _descend(_root(window), window, _SPLIT_GENUS if split else g_max)
+    jobs = []
+    if split:   # each subtree rooted at the split genus is one job
+        nodes = list(nodes)
+        jobs = [(node, g_max, window, classes) for node in nodes
+                if node[4] == _SPLIT_GENUS]
+        nodes = [node for node in nodes if node[4] < _SPLIT_GENUS]
+    _tally(nodes, acc, classes)
+    if jobs:
         with get_context("fork").Pool(workers) as pool:
             for part in pool.imap_unordered(_subtree_job, jobs):
                 for g, stats in part.items():
@@ -262,11 +237,7 @@ class WilfReport:
     genus_max: int
     total: int
     violations: list
-    bucket_p_ge_third_m: int            # 3|P| >= m
-    bucket_p_le_3: int
-    bucket_q_le_3: int
-    bucket_p_ge_half_m: int
-    covered: int                    # in at least one known-case bucket
+    buckets: Counter                # over BUCKETS, summed over every genus
     per_genus: dict[int, GenusCensus]
 
 
@@ -282,16 +253,14 @@ def verify_wilf_range(g_max: int, workers: int = 1) -> WilfReport:
     if violations:
         raise WilfCounterexample(
             f"Wilf inequality failed for {violations!r}")
-    covered = sum(s.bucket_covered for s in acc.values())
+    buckets: Counter = Counter()
+    for stats in acc.values():
+        buckets.update(stats.buckets)
     return WilfReport(
         genus_max=g_max,
         total=sum(s.count_ng for s in acc.values()),
         violations=violations,
-        bucket_p_ge_third_m=sum(s.bucket_p_ge_third_m for s in acc.values()),
-        bucket_p_le_3=sum(s.bucket_p_le_3 for s in acc.values()),
-        bucket_q_le_3=sum(s.bucket_q_le_3 for s in acc.values()),
-        bucket_p_ge_half_m=sum(s.bucket_p_ge_half_m for s in acc.values()),
-        covered=covered,
+        buckets=buckets,
         per_genus=acc,
     )
 

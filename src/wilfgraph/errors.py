@@ -34,7 +34,7 @@ class Infeasible(WilfgraphError):
 
 
 class TooLarge(WilfgraphError):
-    """Graph exceeds the size supported by canonical labeling."""
+    """Input exceeds a supported size: a sieve table or a labeled graph."""
 
 
 class WindowTooSmall(WilfgraphError):
@@ -43,6 +43,10 @@ class WindowTooSmall(WilfgraphError):
 
 class RealizationFailed(WilfgraphError):
     """A realization plan failed its post-construction verification."""
+
+
+class InvariantViolation(WilfgraphError):
+    """A provable identity or bound failed: an implementation bug."""
 
 
 class WilfCounterexample(WilfgraphError):

@@ -7,7 +7,7 @@ graphs on few vertices, and a seeded random generator for sampled suites.
 
 from __future__ import annotations
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 
 # Genus-20 censuses produce associated graphs on up to 18 vertices, so the
 # canonical-labeling cap leaves headroom beyond that.
@@ -136,10 +136,22 @@ class LoopyGraph:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "LoopyGraph":
-        return cls(data["vertices"],
-                   [tuple(e) for e in data.get("edges", ())],
-                   data.get("loops", ()))
+    def from_json(cls, data) -> "LoopyGraph":
+        """Inverse of to_json; raises ValueError on malformed input."""
+        if not isinstance(data, dict) or "vertices" not in data:
+            raise ValueError('graph JSON must be an object with "vertices"')
+        fields = [data["vertices"], data.get("edges", []),
+                  data.get("loops", [])]
+        for name, value in zip(("vertices", "edges", "loops"), fields):
+            if not isinstance(value, list):
+                raise ValueError(f'graph JSON "{name}" must be a list')
+        for e in fields[1]:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"graph JSON edge {e!r} is not a pair")
+        try:
+            return cls(fields[0], [tuple(e) for e in fields[1]], fields[2])
+        except TypeError as exc:    # unhashable or incomparable labels
+            raise ValueError(f"graph JSON labels: {exc}") from None
 
     def to_dot(self, weak=(), active=()) -> str:
         """Graphviz source; loops as self-edges, weak dashed, active bold."""
@@ -289,7 +301,8 @@ def _canonical_key(n, adj, loopmask) -> str:
             search(_refine(branched, adj), base + (v,))
 
     search(_refine(initial, adj), ())
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("canonical search reached no leaf")
     return f"{n}:{best[0]:x}:{best[1]:x}"
 
 

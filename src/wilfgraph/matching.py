@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .errors import Infeasible, NotEdgeMaximal
+from .errors import Infeasible, InvariantViolation, NotEdgeMaximal
 from .loopy import LoopyGraph, all_loopy_graphs
 
 _BB_EDGE_LIMIT = 24
@@ -119,6 +119,17 @@ def vm(G: LoopyGraph) -> int:
     return vertex_maximal_matching(G)[0]
 
 
+def _active(edges, triples, k, n) -> frozenset:
+    # vm is the first objective whatever the bonuses, so any triples will do
+    out = set()
+    for i, (mask, touch, _) in enumerate(triples):
+        rest = [t for t in triples if not t[0] & mask]
+        sub, _, _ = _solve(rest, n)
+        if sub == k - touch:
+            out.add(edges[i])
+    return frozenset(out)
+
+
 def active_edges(G: LoopyGraph) -> frozenset:
     """Edges contained in at least one vertex-maximal matching.
 
@@ -126,14 +137,7 @@ def active_edges(G: LoopyGraph) -> frozenset:
     edge) drops vm by exactly the number of vertices e touches.
     """
     edges, triples = _edge_triples(G, frozenset())
-    k, _, _ = _solve(triples, G.n)
-    out = set()
-    for i, (mask, touch, _) in enumerate(triples):
-        rest = [t for t in triples if not t[0] & mask]
-        sub, _, _ = _solve(rest, G.n)
-        if sub == k - touch:
-            out.add(edges[i])
-    return frozenset(out)
+    return _active(edges, triples, _solve(triples, G.n)[0], G.n)
 
 
 def normality_number(G: LoopyGraph, weak_edges=frozenset()) -> int:
@@ -149,13 +153,16 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     edges, triples = _edge_triples(G, weak)
     k, nu, chosen = _solve(triples, G.n)
     witness = tuple(edges[i] for i in chosen)
-    active = active_edges(G)
+    active = _active(edges, triples, k, G.n)
     normal = frozenset(edges) - weak
     loop_count = G.loop_count
-    assert loop_count <= k <= G.n
-    assert 0 <= nu <= k
-    touched = {v for e in witness for v in e}
-    assert G.loops <= touched   # every vertex-maximal matching meets all loops
+    if not loop_count <= k <= G.n:
+        raise InvariantViolation(f"vm = {k} outside [{loop_count}, {G.n}]")
+    if not 0 <= nu <= k:
+        raise InvariantViolation(f"nu = {nu} outside [0, {k}]")
+    # every vertex-maximal matching meets all loops
+    if not G.loops <= {v for e in witness for v in e}:
+        raise InvariantViolation("a vertex-maximal matching misses a loop")
     return MatchingAnalysis(
         vm=k,
         loop_count=loop_count,

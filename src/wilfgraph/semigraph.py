@@ -17,26 +17,42 @@ from fractions import Fraction
 from . import matching
 from .apery import AperyAnalysis, analyze as apery_analyze, apery_set, \
     check_addition_rule, summand_closure_check, wilf_w
-from .errors import InconsistentDepths
+from .errors import InconsistentDepths, InvariantViolation
 from .loopy import LoopyGraph
 from .semigroup import NumericalSemigroup
+
+
+def neighbor_masks(x: int) -> dict[int, int]:
+    """The edge rule of G(S), on the bitmask x of the nonzero Apery elements.
+
+    b is adjacent to a iff a + b is again in x, so the neighbors of a are
+    x & (x >> a), with a itself among them iff a is loopy. Maps each vertex
+    (each element with a neighbor), in increasing order, to that mask.
+    """
+    lowest = x & -x
+    out = {}
+    rest = x
+    while rest:
+        bit = rest & -rest
+        a = bit.bit_length() - 1
+        if x >> a < lowest:         # a + min(x) > max(x): no larger a pairs
+            break
+        row = x & (x >> a)
+        if row:
+            out[a] = row
+        rest ^= bit
+    return out
 
 
 def build_graph(S: NumericalSemigroup,
                 apery: AperyAnalysis | None = None) -> LoopyGraph:
     """G(S): edges are pairs of nonzero Apery elements summing into the set."""
     x = apery.apery_x if apery is not None else apery_set(S)
-    xset = set(x)
-    edges = []
-    loops = []
-    for i, a in enumerate(x):
-        if 2 * a in xset:
-            loops.append(a)
-        for b in x[i + 1:]:
-            if a + b in xset:
-                edges.append((a, b))
-    touched = {v for e in edges for v in e} | set(loops)
-    return LoopyGraph(touched, edges, loops)
+    rows = neighbor_masks(sum(1 << v for v in x))
+    edges = [(a, b) for a, row in rows.items() for b in rows
+             if b > a and row >> b & 1]
+    loops = [a for a, row in rows.items() if row >> a & 1]
+    return LoopyGraph(rows, edges, loops)
 
 
 def classify_edges(G: LoopyGraph, apery: AperyAnalysis
@@ -85,10 +101,14 @@ def weight_analysis(S: NumericalSemigroup, G: LoopyGraph,
         fibers.setdefault(z, set()).add((a, b))
         if depth_of[a] + depth_of[b] == depth_of[z] + q - 1:
             x0.add(z)
-    assert set(fibers) == set(apery.x_decomposable)   # wt is onto X n D
-    assert len(x0) <= apery.rho
+    if set(fibers) != apery.x_decomposable:
+        raise InvariantViolation("edge weights do not map onto X n D")
+    if len(x0) > apery.rho:
+        raise InvariantViolation(f"|X0| = {len(x0)} exceeds rho = {apery.rho}")
     weak, _ = classify_edges(G, apery)
-    assert apery.rho >= len({weight_of[e] for e in weak})
+    if len({weight_of[e] for e in weak}) > apery.rho:
+        raise InvariantViolation(f"weak edges have more than rho = "
+                                 f"{apery.rho} weights")
     return WeightAnalysis(weight_of,
                           {z: frozenset(es) for z, es in fibers.items()},
                           frozenset(x0))

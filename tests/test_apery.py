@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from wilfgraph import (NotAMember, analyze, apery_set, check_addition_rule,
-                       depth, from_generators, iter_semigroups, layer_index,
-                       report, summand_closure_check, total_depth, wilf_w,
-                       wilf_w_apery)
+import wilfgraph
+from wilfgraph import (InvariantViolation, NotAMember, NumericalSemigroup,
+                       analyze, apery_set, check_addition_rule, depth, from_generators, iter_semigroups, layer_index,
+                       report, summand_closure_check, total_depth, wilf_w)
 
 
 def test_apery_two_three():
@@ -81,7 +85,7 @@ def test_wilf_formulas():
     for gens in ([2, 3], [1], [5, 7, 9], [12, 13, 14, 15, 17, 19, 20, 21],
                  [8, 10, 12, 13, 14, 15, 17]):
         S = from_generators(gens)
-        assert wilf_w(S) == wilf_w_apery(S)
+        assert wilf_w(S) == analyze(S).wilf_w
     assert wilf_w(from_generators([2, 3])) == 0
 
 
@@ -117,3 +121,28 @@ def test_report_fields(fig_semigroup):
     assert data["q"] == 2
     assert data["L_size"] == data["q"] + data["tau_X"]
     assert data["W"] == len(data["P"]) * data["L_size"] - data["c"]
+
+
+# <3, 4, 5> with 7 wrongly listed as a minimal generator: both Apery-side
+# identities fail
+_BROKEN = (bytes([1, 0, 0, 1, 1, 1]), 3, 2, 3, 2, (3, 4, 5, 7))
+
+
+def test_broken_semigroup_raises_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        analyze(NumericalSemigroup(*_BROKEN))
+
+
+def test_invariant_violation_survives_optimize():
+    code = ("import wilfgraph\n"
+            "try:\n"
+            f"    wilfgraph.analyze(wilfgraph.NumericalSemigroup(*{_BROKEN!r}))\n"
+            "except wilfgraph.InvariantViolation:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(wilfgraph.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import json
+import time
 
 from wilfgraph.cli import main
 
@@ -204,3 +205,24 @@ def test_out_file(capsys, tmp_path):
 def test_unknown_command(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_malformed_graph_json_exits_1(capsys, tmp_path):
+    for i, text in enumerate(['{"edges": [[0, 1]]}', '[[0, 1]]']):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        for command in ("graph", "realize"):
+            code, out, err = run(capsys, command, "--graph", str(path))
+            assert code == 1, (command, text)
+            assert err.startswith("usage error: graph JSON")
+            assert out == ""
+
+
+def test_oversized_sieve_exits_1_quickly(capsys):
+    for gens in ("100003,100004", "2,3|t=3000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", "--gens", gens)
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert "limit" in err
+        assert out == ""

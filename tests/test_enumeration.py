@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from wilfgraph import (build_graph, census, from_generators, iter_semigroups,
-                       run_census, sample_semigroups, verify_wilf_range)
+from wilfgraph import (BUCKETS, build_graph, census, from_generators,
+                       iter_semigroups, run_census, sample_semigroups,
+                       verify_wilf_range)
 
 # first twenty terms of the genus census; the tree must reproduce them exactly
 NG = [1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
@@ -85,7 +88,8 @@ def test_worker_determinism():
         assert a[g].count_ng == b[g].count_ng
         assert a[g].class_keys == b[g].class_keys
         assert a[g].class_representatives == b[g].class_representatives
-        assert a[g].bucket_p_ge_third_m == b[g].bucket_p_ge_third_m
+        assert a[g].buckets["p_ge_third_m"] == b[g].buckets["p_ge_third_m"]
+        assert a[g].buckets == b[g].buckets
         assert a[g].wilf_violations == b[g].wilf_violations
 
 
@@ -94,9 +98,9 @@ def test_wilf_verification_small():
     assert report.violations == []
     assert report.total == 1 + sum(NG[:10])
     # every bucket is a subset of the covered tally
-    assert report.covered <= report.total
-    assert report.bucket_p_le_3 <= report.covered
-    assert report.bucket_p_ge_half_m <= report.bucket_p_ge_third_m
+    assert report.buckets["covered"] <= report.total
+    assert report.buckets["p_le_3"] <= report.buckets["covered"]
+    assert report.buckets["p_ge_half_m"] <= report.buckets["p_ge_third_m"]
 
 
 def test_hypothesis_bucket_consistency():
@@ -133,3 +137,22 @@ def test_genus_bounds():
         run_census(31)
     with pytest.raises(ValueError):
         run_census(-1)
+
+
+def test_bucket_totals_pinned():
+    # exact known-case bucket totals over genus 0..12, and at genus 12 alone
+    report = verify_wilf_range(12)
+    assert report.total == 1413
+    assert report.buckets == Counter(p_ge_third_m=1413, p_le_3=124,
+                                     q_le_3=1176, p_ge_half_m=1407,
+                                     covered=1413)
+    g12 = report.per_genus[12].buckets
+    assert (g12["p_le_3"], g12["q_le_3"], g12["p_ge_half_m"]) == (27, 487, 588)
+    assert set(report.buckets) == set(BUCKETS)
+
+
+def test_census_key_matches_build_graph():
+    # the census builds G(S) straight from the node's bitmask
+    keys = Counter(build_graph(S).canonical_key()
+                   for S in iter_semigroups(9, genus=9))
+    assert census(9).class_keys == keys

@@ -179,3 +179,18 @@ def test_random_generator_bounds():
         assert G.n <= 8
         sizes[G.n] += 1
     assert len(sizes) > 3       # spread over several vertex counts
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[0, 1]], "object"),
+    ({"edges": [[0, 1]]}, "vertices"),
+    ({"vertices": 3}, "list"),
+    ({"vertices": [0, 1], "edges": [[0, 1, 1]]}, "pair"),
+    ({"vertices": [0, 1], "edges": [0]}, "pair"),
+    ({"vertices": [0, 1], "edges": [[0, 1]], "loops": "0"}, "list"),
+    ({"vertices": [[0], 1], "edges": [[0, 1]]}, "labels"),
+    ({"vertices": [0, "a"], "edges": [[0, "a"]]}, "labels"),
+])
+def test_from_json_rejects_malformed(data, message):
+    with pytest.raises(ValueError, match=message):
+        LoopyGraph.from_json(data)

@@ -149,3 +149,16 @@ def test_extremal_infeasible():
         extremal_edge_search(3, 5)
     with pytest.raises(Infeasible):
         extremal_edge_search(2, 1)
+
+
+def test_analyze_solves_once_per_edge_plus_one(monkeypatch):
+    # vm is solved once; each edge then needs one solve without its ends
+    from wilfgraph import matching
+    calls = []
+    real = matching._solve
+    monkeypatch.setattr(matching, "_solve",
+                        lambda triples, n: calls.append(1) or real(triples, n))
+    G = loopy_complete(3)
+    ma = analyze_matchings(G)
+    assert len(calls) == 1 + G.edge_count
+    assert ma.active_edges == active_edges(G)

@@ -123,3 +123,15 @@ def test_unique_loopy_vertex_primitive():
         G = build_graph(S)
         if G.loop_count == 1:
             assert next(iter(G.loops)) in S.primitives()
+
+
+def test_build_graph_matches_definition():
+    # {a, b} (a = b allowed) is an edge iff a + b is a nonzero Apery element
+    for S in iter_semigroups(10):
+        x = analyze(S).apery_x
+        pairs = [(a, b) for i, a in enumerate(x) for b in x[i:]
+                 if a + b in x]
+        G = build_graph(S)
+        assert sorted(G.true_edges) == [(a, b) for a, b in pairs if a != b]
+        assert sorted(G.loops) == [a for a, b in pairs if a == b]
+        assert set(G.vertices) == {v for e in pairs for v in e}

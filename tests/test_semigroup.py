@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wilfgraph import (EmptyGenerators, InvalidTruncation,
-                       NonCoprimeGenerators, from_generators,
+                       NonCoprimeGenerators, TooLarge, from_generators,
                        from_generators_truncated, parse_generators)
+from wilfgraph.semigroup import MAX_TABLE
 
 from oracles import sieve_members
 
@@ -171,3 +172,16 @@ def test_random_truncations(gens, t):
     expected = {x for x in sieve_members(gens, horizon) if x < horizon}
     expected |= set(range(t, horizon))
     assert set(S.members_below(horizon)) == expected
+
+
+def test_table_cap():
+    # Schur: c <= (a_1 - 1)(a_n - 1), so the table [0, c + a_1) is bounded
+    with pytest.raises(TooLarge):
+        from_generators([100003, 100004])
+    with pytest.raises(TooLarge):
+        from_generators([3, MAX_TABLE // 2 + 2])
+    with pytest.raises(TooLarge):
+        from_generators_truncated([2, 3], MAX_TABLE + 1)
+    # the gcd is checked first
+    with pytest.raises(NonCoprimeGenerators):
+        from_generators([2 * MAX_TABLE, 4 * MAX_TABLE])
