@@ -116,16 +116,11 @@ def check_addition_rule(S: NumericalSemigroup, i: int, j: int) -> bool:
 def summand_closure_check(S: NumericalSemigroup) -> bool:
     """Every summand of a nonzero Apery element is again one.
 
-    Checks all decompositions z = a + b over S* for every decomposable z in X.
+    Checks all decompositions z = a + b over S* for every decomposable z in X;
+    b = z - a is itself a factor of z, so checking each factor a covers it.
     """
-    m = S.multiplicity
     x = set(apery_set(S))
-    for z in x:
-        for a in range(m, z - m + 1):
-            if S.is_member(a) and S.is_member(z - a):
-                if a not in x or z - a not in x:
-                    return False
-    return True
+    return all(a in x for z in x for a in S.factors(z))
 
 
 def report(S: NumericalSemigroup) -> dict:

@@ -121,12 +121,6 @@ def _semigroup(args) -> NumericalSemigroup:
     return from_generators_truncated(gens, trunc)
 
 
-def _frac(numer: int, denom: int) -> str:
-    if denom == 0:
-        return "0/0 (0.000000)"
-    return f"{numer}/{denom} ({numer / denom:.6f})"
-
-
 def cmd_info(args) -> int:
     S = _semigroup(args)
     data = apery.report(S)      # analyze checks W against |P||L| - c

@@ -29,9 +29,10 @@ from .semigroup import NumericalSemigroup
 GENUS_HARD_CAP = 30
 _SPLIT_GENUS = 9
 
-# node = (mask, d, m, f, g): membership bitmask over [0, window),
+# node = (mask, d, m, f, g, gens): membership bitmask over [0, window),
 # decomposition counts d[y] = #{a <= b in S* with a + b = y}, multiplicity,
-# Frobenius number, genus.
+# Frobenius number, genus, and the minimal generators in increasing order:
+# the members p of [m, c + m) with d[p] == 0.
 
 
 def _window(g_max: int) -> int:
@@ -42,19 +43,11 @@ def _window(g_max: int) -> int:
 def _root(window: int):
     mask = (1 << window) - 1
     d = bytes(y // 2 for y in range(window))
-    return (mask, d, 1, -1, 0)
-
-
-def _child_generators(node, window):
-    mask, d, m, f, g = node
-    c = f + 1
-    lo = max(c, m)
-    hi = min(max(c + m, m + 1), window)
-    return [p for p in range(lo, hi) if d[p] == 0]
+    return (mask, d, 1, -1, 0, (1,))
 
 
 def _remove_generator(node, p, window):
-    mask, d, m, f, g = node
+    mask, d, m, f, g, _ = node
     child_d = bytearray(d)
     limit = window - p
     for s in range(m, limit):
@@ -62,34 +55,31 @@ def _remove_generator(node, p, window):
             child_d[p + s] -= 1
     if 2 * p < window:
         child_d[2 * p] -= 1
+    child_mask = mask & ~(1 << p)
     child_m = m + 1 if p == m else m
-    return (mask & ~(1 << p), bytes(child_d), child_m, p, g + 1)
+    gens = tuple([x for x in range(child_m, p + 1 + child_m)
+                  if child_mask >> x & 1 and child_d[x] == 0])
+    return (child_mask, bytes(child_d), child_m, p, g + 1, gens)
 
 
 def _node_semigroup(node) -> NumericalSemigroup:
-    mask, d, m, f, g = node
+    mask, d, m, f, g, gens = node
     c = f + 1
     table = bytes((mask >> x) & 1 for x in range(c + m))
-    gens = _node_generators(node)
     return NumericalSemigroup(table, m, f, c, g, gens)
-
-
-def _node_generators(node):
-    mask, d, m, f, g = node
-    hi = max(f + 1 + m, m + 1)
-    return tuple([p for p in range(m, hi) if mask >> p & 1 and d[p] == 0])
 
 
 def _descend(node, window, cut):
     """Depth-first stream of the subtree at ``node``, children by increasing
-    removed generator; nodes of genus ``cut`` are yielded but not expanded."""
+    removed generator p > f; nodes of genus ``cut`` are yielded but not
+    expanded."""
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
         if node[4] < cut:
-            for p in reversed(_child_generators(node, window)):
-                stack.append(_remove_generator(node, p, window))
+            stack.extend(_remove_generator(node, p, window)
+                         for p in reversed(node[5]) if p > node[3])
 
 
 def iter_semigroups(g_max: int, genus: int | None = None):
@@ -171,12 +161,10 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool) -> None:
     """Add every node of a stream to the census of its genus in acc."""
     cache: dict = {}
     cases: dict = {}        # (genus, first four bucket tests) -> count
-    for node in nodes:
-        mask, d, m, f, g = node
+    for mask, d, m, f, g, gens in nodes:
         c = f + 1
         stats = acc[g]
         stats.count_ng += 1
-        gens = _node_generators(node)
         n_p = len(gens)
         if n_p * (mask & ((1 << c) - 1)).bit_count() < c:
             stats.wilf_violations.append(gens)
@@ -280,7 +268,7 @@ def sample_semigroups(genus: int, count: int, seed: int
     while len(out) < count:
         node = _root(window)
         while node[4] < genus:
-            gens = _child_generators(node, window)
+            gens = [p for p in node[5] if p > node[3]]
             if not gens:
                 break
             node = _remove_generator(node, rng.choice(gens), window)

@@ -12,7 +12,7 @@ from .errors import InvariantViolation, TooLarge
 # Genus-20 censuses produce associated graphs on up to 18 vertices, so the
 # canonical-labeling cap leaves headroom beyond that.
 _MAX_CANONICAL = 32
-_MAX_CATALOG = 7
+_MAX_CATALOG = 6
 
 
 class LoopyGraph:
@@ -104,15 +104,6 @@ class LoopyGraph:
                 f"loops={sorted(self.loops)})")
 
     # -- derived graphs ------------------------------------------------------
-
-    def without_vertices(self, drop) -> "LoopyGraph":
-        """Induced subgraph on the complement of ``drop``, isolated vertices pruned."""
-        drop = set(drop)
-        edges = [(a, b) for a, b in self.true_edges
-                 if a not in drop and b not in drop]
-        loops = [v for v in self.loops if v not in drop]
-        touched = {v for e in edges for v in e} | set(loops)
-        return LoopyGraph(touched, edges, loops)
 
     def with_edge(self, a, b) -> "LoopyGraph":
         if a == b:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import matching
 from .apery import AperyAnalysis, analyze as apery_analyze, apery_set, \
-    check_addition_rule, summand_closure_check, wilf_w
+    check_addition_rule, summand_closure_check
 from .errors import InconsistentDepths, InvariantViolation
 from .loopy import LoopyGraph
 from .semigroup import NumericalSemigroup
@@ -126,13 +126,7 @@ def tau_bound_holds(tau_x: int, q: int, nu: int, n: int, k: int) -> bool:
 
 # -- structural lemmas -------------------------------------------------------
 #
-# "v is a proper factor of u" is additive throughout: u - v lies in S*.
-
-
-def _proper_factors(S: NumericalSemigroup, u: int) -> list[int]:
-    m = S.multiplicity
-    return [v for v in range(m, u - m + 1)
-            if S.is_member(v) and S.is_member(u - v)]
+# "v is a proper factor of u" means v in S.factors(u): v, u - v lie in S*.
 
 
 def _lengths(S: NumericalSemigroup, top: int) -> dict[int, int]:
@@ -141,15 +135,9 @@ def _lengths(S: NumericalSemigroup, top: int) -> dict[int, int]:
     m = S.multiplicity
     out: dict[int, int] = {}
     for z in S.members_below(top + 1):
-        if z < m:
-            continue
-        best = 1
-        for a in range(m, z // 2 + 1):
-            if S.is_member(a) and S.is_member(z - a):
-                split = out[a] + out[z - a]
-                if split > best:
-                    best = split
-        out[z] = best
+        if z >= m:
+            out[z] = max((out[a] + out[z - a] for a in S.factors(z)),
+                         default=1)
     return out
 
 
@@ -171,7 +159,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     prim = set(S.min_generators)
     v_p = v_all & prim
     v_d = v_all - v_p
-    factors_of = {u: _proper_factors(S, u) for u in sorted(xset | v_all)}
+    factors_of = {u: list(S.factors(u)) for u in sorted(xset | v_all)}
 
     checks: dict[str, bool] = {}
 
@@ -270,8 +258,6 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     checks: dict[str, bool] = {}
 
     checks["L_equals_q_plus_tau"] = len(S.small_elements()) == q + ap.tau_x
-    checks["m_equals_p_plus_xd"] = m == len(prim) + len(ap.x_decomposable)
-    checks["wilf_formulas_agree"] = ap.wilf_w == wilf_w(S)
     checks["apery_one_per_class"] = (
         len(ap.apery_x) == m - 1
         and len({v % m for v in ap.apery_x}) == m - 1)
@@ -309,15 +295,10 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
         len({wa.weight_of[e] for e in edge_list if v in e})
         == sum(1 for e in edge_list if v in e)
         for v in G.vertices)
-    checks["x0_at_most_rho"] = len(wa.x0_set) <= rho
-    checks["rho_bounds_weak_weights"] = rho >= len(
-        {wa.weight_of[e] for e in weak})
     checks["rho_zero_forces_normal"] = rho != 0 or not weak
     checks["weak_targets_depth_zero"] = all(
         ap.depth_of[wa.weight_of[e]] == 0 for e in weak)
 
-    checks["lambda_le_vm_le_n"] = ma.loop_count <= k <= n
-    checks["nu_in_range"] = 0 <= nu <= k
     checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, n, k)
     checks["tau_small_forces_k_le_4"] = (
         not (ap.tau_x <= 2 * q - 1 and q >= 4) or k <= 4)

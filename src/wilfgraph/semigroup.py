@@ -70,12 +70,14 @@ class NumericalSemigroup:
 
     # -- the P / D / L split ---------------------------------------------
 
+    def factors(self, z: int):
+        """Each a in S* with z - a in S*, lazily and in increasing order."""
+        member = self.is_member
+        return (a for a in range(self.multiplicity, z - self.multiplicity + 1)
+                if member(a) and member(z - a))
+
     def _decomposable(self, x: int) -> bool:
-        m = self.multiplicity
-        for a in range(m, x - m + 1):
-            if self.is_member(a) and self.is_member(x - a):
-                return True
-        return False
+        return next(self.factors(x), None) is not None
 
     def primitives(self) -> set[int]:
         """The set P of minimal generators, equal to S* minus (S* + S*)."""

@@ -218,6 +218,25 @@ def test_malformed_graph_json_exits_1(capsys, tmp_path):
             assert out == ""
 
 
+def test_oversized_matching_exits_1_quickly(capsys):
+    # G(<700, 701>) has 698 vertices and 122,150 edges, over the matching cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--gens", "700,701")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert "at most 100 edges" in err
+    assert out == ""
+
+
+def test_extremal_catalog_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extremal", "--n", "7", "--k", "4")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "0 <= n <= 6" in err
+    assert out == ""
+
+
 def test_oversized_sieve_exits_1_quickly(capsys):
     for gens in ("100003,100004", "2,3|t=3000000000"):
         start = time.perf_counter()

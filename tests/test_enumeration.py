@@ -40,7 +40,7 @@ def test_each_semigroup_visited_once():
 
 
 def test_stream_consistency():
-    for S in iter_semigroups(6):
+    for S in iter_semigroups(10):
         assert S.genus == len(S.gaps())
         assert S == from_generators(S.min_generators)
 

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from wilfgraph import (Infeasible, LoopyGraph, NotEdgeMaximal, active_edges,
+from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
+                       NotEdgeMaximal, TooLarge, active_edges,
                        all_loopy_graphs, analyze_matchings, edge_maximal_check,
                        extremal_edge_search, loopy_complete, normality_number,
                        random_loopy_graph, vertex_maximal_matching, vm)
-from wilfgraph.matching import _edge_triples, _solve_bb, _solve_blossom
+from wilfgraph.matching import (_MAX_EDGES, _edge_triples, _solve_bb,
+                                _solve_blossom)
 
 from oracles import brute_matching_stats
 
@@ -162,3 +164,22 @@ def test_analyze_solves_once_per_edge_plus_one(monkeypatch):
     ma = analyze_matchings(G)
     assert len(calls) == 1 + G.edge_count
     assert ma.active_edges == active_edges(G)
+
+
+def test_matching_analyze_invariant_violation(monkeypatch):
+    from wilfgraph import matching
+    G = loopy_complete(3)
+    monkeypatch.setattr(matching, "_solve",
+                        lambda triples, n: (n + 1, 0, ()))
+    with pytest.raises(InvariantViolation):
+        analyze_matchings(G)
+
+
+def test_edge_cap():
+    loops = LoopyGraph(range(_MAX_EDGES), (), range(_MAX_EDGES))
+    edges, triples = _edge_triples(loops, frozenset())
+    assert len(edges) == len(triples) == _MAX_EDGES
+    over = loops.with_edge(0, 1)
+    for solve in (vm, active_edges, normality_number, analyze_matchings):
+        with pytest.raises(TooLarge):
+            solve(over)

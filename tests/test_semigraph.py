@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from wilfgraph import (AperyAnalysis, InconsistentDepths, analyze,
-                       analyze_matchings, build_graph, classify_edges,
+from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
+                       analyze, analyze_matchings, build_graph, classify_edges,
                        from_generators, invariant_report, iter_semigroups,
                        structural_lemma_suite, tau_bound_holds,
                        tau_lower_bound, weight_analysis)
@@ -81,6 +83,15 @@ def test_classify_rejects_inconsistent_depths(fig_semigroup):
                              ap.x_decomposable, ap.wilf_w)
     with pytest.raises(InconsistentDepths):
         classify_edges(G, doctored)
+
+
+def test_weight_analysis_invariant_violation(fig_semigroup):
+    # the edge weights of G(S) cover X n D; an emptied X n D cannot match
+    ap = analyze(fig_semigroup)
+    G = build_graph(fig_semigroup, ap)
+    doctored = replace(ap, x_decomposable=frozenset())
+    with pytest.raises(InvariantViolation):
+        weight_analysis(fig_semigroup, G, doctored)
 
 
 def test_tau_bound():

@@ -80,6 +80,19 @@ def test_partition_exhaustive_low_genus():
         assert prim | dec == set(S.members_below(bound)) - {0}
 
 
+def test_factors_match_pair_list():
+    from wilfgraph import iter_semigroups
+    for S in iter_semigroups(10):
+        bound = S.conductor + 2 * S.multiplicity
+        nonzero = S.members_below(bound)[1:]
+        pairs = {}
+        for a in nonzero:
+            for b in nonzero:
+                pairs.setdefault(a + b, []).append(a)
+        for z in range(bound):
+            assert list(S.factors(z)) == pairs.get(z, []), (S, z)
+
+
 def test_errors():
     with pytest.raises(EmptyGenerators):
         from_generators([])
