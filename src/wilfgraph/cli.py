@@ -94,6 +94,8 @@ def _build_parser() -> _Parser:
 def _validate(args) -> None:
     if getattr(args, "workers", 1) < 1:
         raise _UsageError("--workers must be at least 1")
+    if getattr(args, "workers", 1) > enumeration.MAX_WORKERS:
+        raise _UsageError(f"--workers capped at {enumeration.MAX_WORKERS}")
     if getattr(args, "genus_max", 0) > enumeration.GENUS_HARD_CAP:
         raise _UsageError(f"--genus-max capped at {enumeration.GENUS_HARD_CAP}")
     if args.command == "info" and not args.gens:

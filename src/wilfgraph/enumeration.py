@@ -27,7 +27,14 @@ from .semigraph import neighbor_masks
 from .semigroup import NumericalSemigroup
 
 GENUS_HARD_CAP = 30
-_SPLIT_GENUS = 9
+MAX_WORKERS = 64
+# The parallel census splits the tree at genus max(g_max - _SPLIT_DEPTH,
+# _SPLIT_FLOOR): the subtrees below a frontier that close to g_max stay small
+# even along the ordinary chain <m, ..., 2m - 1>, whose subtree holds most of
+# the tree.
+_SPLIT_DEPTH = 6
+_SPLIT_FLOOR = 9
+_BATCHES_PER_WORKER = 8
 
 # node = (mask, d, m, f, g, gens): membership bitmask over [0, window),
 # decomposition counts d[y] = #{a <= b in S* with a + b = y}, multiplicity,
@@ -157,9 +164,10 @@ def _graph_key(mask, m, c, cache):
     return key
 
 
-def _tally(nodes, acc: dict[int, GenusCensus], classes: bool) -> None:
-    """Add every node of a stream to the census of its genus in acc."""
-    cache: dict = {}
+def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
+           cache: dict) -> None:
+    """Add every node of a stream to the census of its genus in acc;
+    ``cache`` maps graph signatures to canonical keys."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
     for mask, d, m, f, g, gens in nodes:
         c = f + 1
@@ -182,34 +190,69 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool) -> None:
             acc[g].buckets[name] += count
 
 
-def _subtree_job(args):
-    node, g_max, window, classes = args
-    acc = {g: GenusCensus(g) for g in range(node[4], g_max + 1)}
-    _tally(_descend(node, window, g_max), acc, classes)
+def _above(window, split, frontier):
+    """Stream the tree above genus ``split``; the nodes of genus ``split``
+    go to ``frontier`` instead."""
+    for node in _descend(_root(window), window, split):
+        if node[4] < split:
+            yield node
+        else:
+            frontier.append(node)
+
+
+def _deal(frontier, workers):
+    """Deal the frontier round-robin into about workers * _BATCHES_PER_WORKER
+    batches."""
+    count = min(len(frontier), workers * _BATCHES_PER_WORKER)
+    return [frontier[i::count] for i in range(count)]
+
+
+# (batches, g_max, window, classes, cache), set only in a forked pool worker:
+# fork hands the batches and the parent's graph-key cache over unpickled, and
+# the worker keeps filling its copy of the cache across its batches
+_batch_state = None
+
+
+def _init_worker(*state):
+    global _batch_state
+    _batch_state = state
+
+
+def _batch_job(i):
+    batches, g_max, window, classes, cache = _batch_state
+    acc = {g: GenusCensus(g) for g in range(batches[i][0][4], g_max + 1)}
+    _tally((node for root in batches[i]
+            for node in _descend(root, window, g_max)), acc, classes, cache)
     return acc
 
 
 def run_census(g_max: int, workers: int = 1, classes: bool = False
                ) -> dict[int, GenusCensus]:
-    """Census of every genus 0..g_max; deterministic for any worker count."""
+    """Census of every genus 0..g_max; deterministic for any worker count.
+
+    With workers > 1 the parent tallies the tree above the frontier genus
+    and a fork pool tallies the subtrees below it, in batches.
+    """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be within 1..{MAX_WORKERS}")
     window = _window(g_max)
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
-    split = workers > 1 and _SPLIT_GENUS < g_max
-    nodes = _descend(_root(window), window, _SPLIT_GENUS if split else g_max)
-    jobs = []
-    if split:   # each subtree rooted at the split genus is one job
-        nodes = list(nodes)
-        jobs = [(node, g_max, window, classes) for node in nodes
-                if node[4] == _SPLIT_GENUS]
-        nodes = [node for node in nodes if node[4] < _SPLIT_GENUS]
-    _tally(nodes, acc, classes)
-    if jobs:
-        with get_context("fork").Pool(workers) as pool:
-            for part in pool.imap_unordered(_subtree_job, jobs):
-                for g, stats in part.items():
-                    acc[g].merge(stats)
+    cache: dict = {}
+    split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
+    if workers == 1 or split >= g_max:
+        _tally(_descend(_root(window), window, g_max), acc, classes, cache)
+        return acc
+    frontier: list = []
+    _tally(_above(window, split, frontier), acc, classes, cache)
+    batches = _deal(frontier, workers)
+    with get_context("fork").Pool(
+            workers, _init_worker,
+            (batches, g_max, window, classes, cache)) as pool:
+        for part in pool.imap_unordered(_batch_job, range(len(batches))):
+            for g, stats in part.items():
+                acc[g].merge(stats)
     return acc
 
 

@@ -49,8 +49,14 @@ def build_graph(S: NumericalSemigroup,
     """G(S): edges are pairs of nonzero Apery elements summing into the set."""
     x = apery.apery_x if apery is not None else apery_set(S)
     rows = neighbor_masks(sum(1 << v for v in x))
-    edges = [(a, b) for a, row in rows.items() for b in rows
-             if b > a and row >> b & 1]
+    edges = []
+    for a, row in rows.items():
+        # one find per set bit b > a; bit b of row is character b of bits
+        bits = bin(row)[:1:-1]
+        b = bits.find("1", a + 1)
+        while b >= 0:
+            edges.append((a, b))
+            b = bits.find("1", b + 1)
     loops = [a for a, row in rows.items() if row >> a & 1]
     return LoopyGraph(rows, edges, loops)
 

@@ -143,10 +143,12 @@ def _find_conductor(table: bytearray, m: int) -> int | None:
 
 def _minimal_generators(S: NumericalSemigroup) -> list[int]:
     m = S.multiplicity
-    # P lies in [m, c+m), except for S = N where P = {1}.
-    hi = max(S.conductor + m, m + 1)
-    return [x for x in range(m, hi)
-            if S.is_member(x) and not S._decomposable(x)]
+    # P is m and the Apery elements x in (m, c+m), x - m a gap, that are not
+    # a sum of two nonzero members; any other x > m is m + (x - m).
+    member = S.is_member
+    return [m] + [x for x in range(m + 1, S.conductor + m)
+                  if member(x) and not member(x - m)
+                  and not S._decomposable(x)]
 
 
 def _finalize(table: bytearray, conductor: int) -> NumericalSemigroup:

@@ -138,6 +138,20 @@ def test_enumerate_worker_flag(capsys):
     assert out_a == out_b
 
 
+def test_enumerate_workers_cap(capsys, monkeypatch):
+    from wilfgraph import enumeration
+
+    def no_pool(*args):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(enumeration, "get_context", no_pool)
+    for command in ("enumerate", "verify"):
+        code, _, err = run(capsys, command, "--genus-max", "12",
+                           "--workers", "100000")
+        assert code == 1
+        assert f"capped at {enumeration.MAX_WORKERS}" in err
+
+
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--genus-max", "31")
     assert code == 1

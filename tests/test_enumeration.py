@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from wilfgraph import (BUCKETS, build_graph, census, from_generators,
-                       iter_semigroups, run_census, sample_semigroups,
-                       verify_wilf_range)
+from wilfgraph import (BUCKETS, build_graph, census, enumeration,
+                       from_generators, iter_semigroups, run_census,
+                       sample_semigroups, verify_wilf_range)
 
 # first twenty terms of the genus census; the tree must reproduce them exactly
 NG = [1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
@@ -91,6 +91,42 @@ def test_worker_determinism():
         assert a[g].buckets["p_ge_third_m"] == b[g].buckets["p_ge_third_m"]
         assert a[g].buckets == b[g].buckets
         assert a[g].wilf_violations == b[g].wilf_violations
+
+
+def test_worker_determinism_deep_split():
+    # at g_max = 16 the frontier is at genus 10, one deeper than the split
+    # of the genus-11 test above
+    a = run_census(16, workers=1, classes=True)
+    for workers in (2, 3):
+        b = run_census(16, workers=workers, classes=True)
+        for g in range(17):
+            assert vars(a[g]) == vars(b[g])
+
+
+def test_batches_balanced():
+    # no batch of the pool carries half the nodes below the frontier
+    g_max, window = 18, enumeration._window(18)
+    split = max(g_max - enumeration._SPLIT_DEPTH, enumeration._SPLIT_FLOOR)
+    frontier = []
+    above = sum(1 for _ in enumeration._above(window, split, frontier))
+    assert above == 1 + sum(NG[:split - 1])
+    assert len(frontier) == NG[split - 1]
+    sizes = [sum(1 for root in batch
+                 for _ in enumeration._descend(root, window, g_max))
+             for batch in enumeration._deal(frontier, 2)]
+    assert len(sizes) == 2 * enumeration._BATCHES_PER_WORKER
+    assert sum(sizes) == sum(NG[split - 1:g_max])
+    assert 2 * max(sizes) <= sum(sizes)
+
+
+def test_worker_cap_before_pool(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(enumeration, "get_context", no_pool)
+    for workers in (0, enumeration.MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ValueError):
+            run_census(12, workers=workers)
 
 
 def test_wilf_verification_small():

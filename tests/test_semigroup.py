@@ -54,6 +54,16 @@ def test_redundant_generators_reduced():
     assert S == from_generators([4, 6, 9])
 
 
+def test_redundant_generators_reduced_exhaustive():
+    # the tree carries each node's minimal generators; sieving them again
+    # with 2m and the sum of two generators added must give them back
+    from wilfgraph import iter_semigroups
+    for S in iter_semigroups(12):
+        gens = S.min_generators
+        padded = gens + (2 * gens[0], gens[0] + gens[-1])
+        assert from_generators(padded).min_generators == gens
+
+
 def test_primitive_decomposable_partition():
     S = from_generators([5, 7, 9])
     bound = S.conductor + S.multiplicity
