@@ -2,7 +2,7 @@
 
 Subcommands: info, graph, enumerate, verify, realize, extremal. Exit codes:
 0 success, 1 usage error, 2 invariant failure (e.g. a hypothetical Wilf
-violation), 3 I/O error.
+violation), 3 I/O error; each WilfgraphError class declares its own code.
 """
 
 from __future__ import annotations
@@ -14,40 +14,27 @@ import sys
 
 from . import apery, enumeration, matching, semigraph
 from .realize import realize as _realize
-from .errors import (Infeasible, NonCoprimeGenerators, EmptyGenerators,
-                     InconsistentDepths, InvalidTruncation, InvariantViolation,
-                     RealizationFailed, TooLarge, WilfCounterexample,
-                     WindowTooSmall)
+from .errors import WilfgraphError
 from .loopy import LoopyGraph
 from .semigroup import (NumericalSemigroup, format_generators,
                         from_generators, from_generators_truncated,
                         parse_generators)
 
-_USAGE_ERRORS = (EmptyGenerators, NonCoprimeGenerators, InvalidTruncation,
-                 WindowTooSmall, Infeasible, TooLarge, ValueError)
-_INVARIANT_ERRORS = (WilfCounterexample, InconsistentDepths,
-                     RealizationFailed, InvariantViolation)
 # verify's table labels, one per enumeration.BUCKETS entry
 _BUCKET_LABELS = ("|P| <= 3", "q <= 3", "|P| >= m/2", "|P| >= m/3",
                   "any of these")
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wilfgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gens(p):
-        p.add_argument("--gens", help='generator list, e.g. "12,13" or "12,13|t=30"')
-        p.add_argument("--trunc", type=int, help="truncation point t")
+    gens_help = 'generator list, e.g. "12,13"; "12,13|t=30" truncates at t'
 
     def add_common(p, formats):
         p.add_argument("--format", dest="fmt", choices=formats,
@@ -55,13 +42,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("info", help="core and Apery invariants of one semigroup")
-    add_gens(p)
+    p.add_argument("--gens", required=True, help=gens_help)
     add_common(p, ["table", "json"])
 
     p = sub.add_parser("graph", help="associated graph and matching summary")
-    add_gens(p)
-    p.add_argument("--graph", dest="graph_file",
-                   help="synthetic loopy graph in JSON form")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gens", help=gens_help)
+    source.add_argument("--graph", dest="graph_file",
+                        help="synthetic loopy graph in JSON form")
     add_common(p, ["table", "dot", "json"])
 
     p = sub.add_parser("enumerate", help="genus census n_g (and classes)")
@@ -91,33 +79,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _validate(args) -> None:
-    if getattr(args, "workers", 1) < 1:
-        raise _UsageError("--workers must be at least 1")
-    if getattr(args, "workers", 1) > enumeration.MAX_WORKERS:
-        raise _UsageError(f"--workers capped at {enumeration.MAX_WORKERS}")
-    if getattr(args, "genus_max", 0) > enumeration.GENUS_HARD_CAP:
-        raise _UsageError(f"--genus-max capped at {enumeration.GENUS_HARD_CAP}")
-    if args.command == "info" and not args.gens:
-        raise _UsageError("info requires --gens")
-    if args.command == "graph" and bool(args.gens) == bool(args.graph_file):
-        raise _UsageError("graph requires exactly one of --gens / --graph")
-
-
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _semigroup(args) -> NumericalSemigroup:
     gens, trunc = parse_generators(args.gens)
-    if args.trunc is not None:
-        if trunc is not None and trunc != args.trunc:
-            raise _UsageError("--trunc conflicts with the |t= suffix")
-        trunc = args.trunc
     if trunc is None:
         return from_generators(gens)
     return from_generators_truncated(gens, trunc)
@@ -152,12 +124,14 @@ def _load_graph(path: str) -> LoopyGraph:
 
 
 def cmd_graph(args) -> int:
-    if args.graph_file:
+    if args.gens is None:
         G = _load_graph(args.graph_file)
         weak: frozenset = frozenset()
     else:
         S = _semigroup(args)
         ap = apery.analyze(S)
+        # the edge weights of G(S) map onto X n D, so |E| >= |X n D|
+        matching.check_edge_count(len(ap.x_decomposable))
         G = semigraph.build_graph(S, ap)
         weak, _ = semigraph.classify_edges(G, ap)
     ma = matching.analyze(G, weak)
@@ -181,7 +155,7 @@ def cmd_graph(args) -> int:
     lines = []
     if G.n == 0:
         lines.append("empty graph (maximal embedding dimension semigroup)"
-                     if not args.graph_file else "empty graph")
+                     if args.gens is not None else "empty graph")
     lines.append(f"vertices {G.n}, edges {G.edge_count} "
                  f"({len(G.true_edges)} true + {G.loop_count} loops)")
     lines.append(f"vm k = {ma.vm}, lambda = {ma.loop_count}, nu = {ma.nu}")
@@ -195,48 +169,38 @@ def cmd_graph(args) -> int:
 
 def cmd_enumerate(args) -> int:
     result = enumeration.run_census(args.genus_max, workers=args.workers,
-                               classes=args.classes)
-    rows = []
-    for g in range(args.genus_max + 1):
-        stats = result[g]
+                                    classes=args.classes)
+    records = {}
+    for g, stats in result.items():
         frac = stats.p_ge_third_fraction
-        rows.append((g, stats.count_ng,
-                     stats.class_count_gamma if args.classes else "",
-                     len(stats.wilf_violations),
-                     f"{float(frac):.6f}" if stats.count_ng else "0.000000"))
+        item = {
+            "n_g": stats.count_ng,
+            "wilf_violations": len(stats.wilf_violations),
+            "frac_P_ge_m3": {"num": frac.numerator, "den": frac.denominator,
+                             "decimal": f"{float(frac):.6f}"},
+        }
+        if args.classes:
+            item["gamma_g"] = stats.class_count_gamma
+            item["classes"] = {
+                key: {"count": stats.class_keys[key],
+                      "representative": list(stats.class_representatives[key])}
+                for key in sorted(stats.class_keys)
+            }
+        records[g] = item
+    if args.fmt == "json":
+        payload = {str(g): item for g, item in records.items()}
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        return 0
+    rows = [(g, r["n_g"], r.get("gamma_g", ""), r["wilf_violations"],
+             r["frac_P_ge_m3"]["decimal"]) for g, r in records.items()]
     if args.fmt == "csv":
         lines = ["g,n_g,gamma_g,wilf_violations,frac_P_ge_m3"]
         lines += [",".join(map(str, row)) for row in rows]
-        _emit("\n".join(lines), args.out)
-        return 0
-    if args.fmt == "json":
-        payload = {}
-        for g in range(args.genus_max + 1):
-            stats = result[g]
-            item = {
-                "n_g": stats.count_ng,
-                "wilf_violations": len(stats.wilf_violations),
-                "frac_P_ge_m3": {
-                    "num": stats.p_ge_third_fraction.numerator,
-                    "den": stats.p_ge_third_fraction.denominator,
-                    "decimal": f"{float(stats.p_ge_third_fraction):.6f}",
-                },
-            }
-            if args.classes:
-                item["gamma_g"] = stats.class_count_gamma
-                item["classes"] = {
-                    key: {"count": stats.class_keys[key],
-                          "representative": list(stats.class_representatives[key])}
-                    for key in sorted(stats.class_keys)
-                }
-            payload[str(g)] = item
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return 0
-    header = f"{'g':>3} {'n_g':>9} {'gamma_g':>9} {'wilf_viol':>9} {'frac |P|>=m/3':>14}"
-    lines = [header]
-    for row in rows:
-        lines.append(f"{row[0]:>3} {row[1]:>9} {str(row[2]):>9} "
-                     f"{row[3]:>9} {row[4]:>14}")
+    else:
+        lines = [f"{'g':>3} {'n_g':>9} {'gamma_g':>9} {'wilf_viol':>9} "
+                 f"{'frac |P|>=m/3':>14}"]
+        lines += [f"{g:>3} {n:>9} {str(gamma):>9} {viol:>9} {frac:>14}"
+                  for g, n, gamma, viol, frac in rows]
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -244,25 +208,20 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     report = enumeration.verify_wilf_range(args.genus_max, workers=args.workers)
     exhaustive_cap = min(args.genus_max, 12)
-    suites = (enumeration.iter_semigroups(exhaustive_cap),
-              (S for g in range(13, args.genus_max + 1)
-               for S in enumeration.sample_semigroups(g, 25,
-                                                      seed=args.seed + g)))
+    exhaustive = list(enumeration.iter_semigroups(exhaustive_cap))
+    samples = [S for g in range(13, args.genus_max + 1)
+               for S in enumeration.sample_semigroups(g, 25, seed=args.seed + g)]
     failures: list[str] = []
-    counts = []
-    for stream in suites:
-        counts.append(0)
-        for S in stream:
-            counts[-1] += 1
-            bad = [k for k, ok in semigraph.invariant_report(S).items()
-                   if not ok]
-            if bad:
-                failures.append(f"genus {S.genus} {S.min_generators}: {bad}")
-    checked, sampled = counts
+    for S in exhaustive + samples:
+        bad = [k for k, ok in semigraph.invariant_report(S).items() if not ok]
+        if bad:
+            failures.append(f"genus {S.genus} {S.min_generators}: {bad}")
+    checked, sampled = len(exhaustive), len(samples)
+    # a Wilf violation raises WilfCounterexample, so none reach this point
     data = {
         "genus_max": args.genus_max,
         "semigroups": report.total,
-        "wilf_violations": len(report.violations),
+        "wilf_violations": 0,
         "invariants_checked_exhaustive": checked,
         "invariants_checked_sampled": sampled,
         "invariant_failures": failures,
@@ -274,7 +233,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [
             f"semigroups up to genus {args.genus_max}: {report.total}",
-            f"Wilf violations: {len(report.violations)}",
+            "Wilf violations: 0",
             f"invariant suite: {checked} exhaustive (genus <= {exhaustive_cap})"
             f" + {sampled} sampled, {len(failures)} failures",
             "known-case buckets (overlapping):",
@@ -288,16 +247,13 @@ def cmd_verify(args) -> int:
 
 def cmd_realize(args) -> int:
     G = _load_graph(args.graph_file)
-    plan = _realize(G)
+    plan = _realize(G)      # raises RealizationFailed if it does not verify
     cert = plan.certificate()
-    if not cert["verified"]:
-        raise RealizationFailed("certificate did not verify")
-    gens_text = format_generators(plan.result)
     if args.fmt == "json":
         _emit(json.dumps(cert, indent=2, sort_keys=True), args.out)
         return 0
     lines = [
-        f"gens: {gens_text}|t={2 * plan.multiplicity}",
+        f"gens: {format_generators(plan.result)}|t={2 * plan.multiplicity}",
         f"m = {plan.multiplicity}, offsets = {list(plan.offsets)}, "
         f"erased = {list(plan.erase_generators)}",
         f"certificate: {json.dumps(cert, sort_keys=True)}",
@@ -341,14 +297,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _validate(args)
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except _INVARIANT_ERRORS as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 2
+    except (WilfgraphError, ValueError) as exc:
+        code = getattr(exc, "exit_code", 1)
+        label = ("usage error" if code == 1
+                 else f"invariant failure: {type(exc).__name__}")
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

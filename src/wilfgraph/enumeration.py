@@ -234,9 +234,11 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
     and a fork pool tallies the subtrees below it, in batches.
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
-        raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}")
+        raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
+                         f"got {g_max}")
     if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be within 1..{MAX_WORKERS}")
+        raise ValueError(f"workers must be within 1..{MAX_WORKERS}, "
+                         f"got {workers}")
     window = _window(g_max)
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
@@ -265,9 +267,7 @@ def census(genus: int, workers: int = 1, classes: bool = True) -> GenusCensus:
 class WilfReport:
     """Outcome of the Wilf verification sweep up to a genus bound."""
 
-    genus_max: int
     total: int
-    violations: list
     buckets: Counter                # over BUCKETS, summed over every genus
     per_genus: dict[int, GenusCensus]
 
@@ -288,9 +288,7 @@ def verify_wilf_range(g_max: int, workers: int = 1) -> WilfReport:
     for stats in acc.values():
         buckets.update(stats.buckets)
     return WilfReport(
-        genus_max=g_max,
         total=sum(s.count_ng for s in acc.values()),
-        violations=violations,
         buckets=buckets,
         per_genus=acc,
     )

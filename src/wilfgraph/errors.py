@@ -2,7 +2,13 @@
 
 
 class WilfgraphError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    exit_code is the CLI's exit status: 1 for bad or oversized input, 2 for
+    an invariant failure (a bug, or a Wilf counterexample).
+    """
+
+    exit_code = 1
 
 
 class EmptyGenerators(WilfgraphError):
@@ -24,6 +30,8 @@ class NotAMember(WilfgraphError):
 class InconsistentDepths(WilfgraphError):
     """An edge of an associated graph violates the depth-sum lower bound."""
 
+    exit_code = 2
+
 
 class NotEdgeMaximal(WilfgraphError):
     """A graph assumed edge-maximal for its matching number is not."""
@@ -44,10 +52,16 @@ class WindowTooSmall(WilfgraphError):
 class RealizationFailed(WilfgraphError):
     """A realization plan failed its post-construction verification."""
 
+    exit_code = 2
+
 
 class InvariantViolation(WilfgraphError):
     """A provable identity or bound failed: an implementation bug."""
 
+    exit_code = 2
+
 
 class WilfCounterexample(WilfgraphError):
     """|P||L| < c was observed; carries a full dump of the offending semigroup."""
+
+    exit_code = 2

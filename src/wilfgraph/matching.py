@@ -34,18 +34,22 @@ class MatchingAnalysis:
     loop_count: int
     nu: int
     weak_edges: frozenset
-    normal_edges: frozenset
     active_edges: frozenset
     active_weak: frozenset
     active_normal: frozenset
     witness_matching: tuple
 
 
+def check_edge_count(edges: int) -> None:
+    """Raise TooLarge if a graph with at least this many edges is over the cap."""
+    if edges > _MAX_EDGES:
+        raise TooLarge(f"matching supports at most {_MAX_EDGES} edges, "
+                       f"got at least {edges}")
+
+
 def _edge_triples(G: LoopyGraph, weak):
     """(mask, touched, normal_touched) per edge, plus the edge list."""
-    if G.edge_count > _MAX_EDGES:
-        raise TooLarge(f"matching supports at most {_MAX_EDGES} edges, "
-                       f"got {G.edge_count}")
+    check_edge_count(G.edge_count)
     edges = G.all_edges()
     triples = []
     for a, b in edges:
@@ -160,7 +164,6 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     k, nu, chosen = _solve(triples, G.n)
     witness = tuple(edges[i] for i in chosen)
     active = _active(edges, triples, k, G.n)
-    normal = frozenset(edges) - weak
     loop_count = G.loop_count
     if not loop_count <= k <= G.n:
         raise InvariantViolation(f"vm = {k} outside [{loop_count}, {G.n}]")
@@ -174,10 +177,9 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
         loop_count=loop_count,
         nu=nu,
         weak_edges=weak,
-        normal_edges=normal,
         active_edges=active,
         active_weak=active & weak,
-        active_normal=active & normal,
+        active_normal=active - weak,
         witness_matching=witness,
     )
 

@@ -49,7 +49,6 @@ class RealizationPlan:
     offsets: tuple[int, ...]
     erase_generators: tuple[int, ...]
     result: NumericalSemigroup
-    vertex_map: dict
 
     def certificate(self) -> dict:
         return {
@@ -72,7 +71,6 @@ def plan_with_offsets(G: LoopyGraph, m: int, offsets) -> RealizationPlan:
     if len(offsets) != G.n:
         raise ValueError(f"need {G.n} offsets, got {len(offsets)}")
     verts = G.vertices
-    index = {v: i for i, v in enumerate(verts)}
     erase = []
     for i in range(G.n):
         for j in range(i, G.n):
@@ -80,8 +78,7 @@ def plan_with_offsets(G: LoopyGraph, m: int, offsets) -> RealizationPlan:
                 erase.append(m + offsets[i] + offsets[j])
     gens = [m] + [m + x for x in offsets] + erase
     S = from_generators_truncated(gens, 2 * m)
-    vmap = {v: m + offsets[index[v]] for v in verts}
-    return RealizationPlan(G, m, offsets, tuple(sorted(erase)), S, vmap)
+    return RealizationPlan(G, m, offsets, tuple(sorted(erase)), S)
 
 
 def _modular_certificate(plan: RealizationPlan) -> bool:

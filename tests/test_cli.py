@@ -1,7 +1,9 @@
 import json
 import time
 
+from wilfgraph import apery, enumeration, semigraph
 from wilfgraph.cli import main
+from wilfgraph.errors import InvariantViolation, NotAMember
 
 
 def run(capsys, *argv):
@@ -39,6 +41,9 @@ def test_info_parse_error(capsys):
     code, _, err = run(capsys, "info", "--gens", "2,x")
     assert code == 1
     assert "position" in err
+    code, _, err = run(capsys, "info")
+    assert code == 1
+    assert "--gens" in err
 
 
 def test_info_non_coprime(capsys):
@@ -47,10 +52,15 @@ def test_info_non_coprime(capsys):
 
 
 def test_truncated_flag(capsys):
-    code, out, _ = run(capsys, "info", "--gens", "15,16,18,22", "--trunc",
-                       "30", "--format", "json")
+    code, out, _ = run(capsys, "info", "--gens", "15,16,18,22|t=30",
+                       "--format", "json")
     assert code == 0
     assert json.loads(out)["c"] == 30
+    # the |t= suffix is the one way to truncate
+    code, _, err = run(capsys, "info", "--gens", "15,16,18,22", "--trunc",
+                       "30")
+    assert code == 1
+    assert "--trunc" in err
 
 
 def test_graph_dot(capsys):
@@ -139,8 +149,6 @@ def test_enumerate_worker_flag(capsys):
 
 
 def test_enumerate_workers_cap(capsys, monkeypatch):
-    from wilfgraph import enumeration
-
     def no_pool(*args):
         raise AssertionError("a process pool was requested")
 
@@ -149,13 +157,14 @@ def test_enumerate_workers_cap(capsys, monkeypatch):
         code, _, err = run(capsys, command, "--genus-max", "12",
                            "--workers", "100000")
         assert code == 1
-        assert f"capped at {enumeration.MAX_WORKERS}" in err
+        assert f"within 1..{enumeration.MAX_WORKERS}" in err
 
 
 def test_enumerate_cap(capsys):
-    code, _, err = run(capsys, "enumerate", "--genus-max", "31")
-    assert code == 1
-    assert "capped" in err
+    for command in ("enumerate", "verify"):
+        code, _, err = run(capsys, command, "--genus-max", "31")
+        assert code == 1
+        assert f"within 0..{enumeration.GENUS_HARD_CAP}" in err
 
 
 def test_verify(capsys):
@@ -239,6 +248,51 @@ def test_oversized_matching_exits_1_quickly(capsys):
     assert time.perf_counter() - start < 5
     assert code == 1
     assert "at most 100 edges" in err
+    assert out == ""
+
+
+def test_oversized_graph_rejected_before_build(capsys, monkeypatch):
+    # |X n D| = 698 already exceeds the edge cap, so G(S) is never built
+    def no_build(*args):
+        raise AssertionError("build_graph was called")
+
+    monkeypatch.setattr(semigraph, "build_graph", no_build)
+    code, out, err = run(capsys, "graph", "--gens", "700,701")
+    assert code == 1
+    assert "at most 100 edges" in err
+    assert out == ""
+
+
+def test_invariant_violation_graph_exits_2(capsys, monkeypatch):
+    def broken(S):
+        raise InvariantViolation("depth sum off by one")
+
+    monkeypatch.setattr(apery, "analyze", broken)
+    code, out, err = run(capsys, "graph", "--gens", "5,7,9")
+    assert code == 2
+    assert err == ("invariant failure: InvariantViolation: "
+                   "depth sum off by one\n")
+    assert out == ""
+
+
+def test_invariant_violation_verify_failure_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(semigraph, "invariant_report",
+                        lambda S: {"fiber_identity": False})
+    code, out, _ = run(capsys, "verify", "--genus-max", "3")
+    assert code == 2
+    assert "FAILURE genus 3" in out
+    assert "['fiber_identity']" in out
+
+
+def test_invariant_violation_mapping_not_a_member_exits_1(capsys,
+                                                          monkeypatch):
+    def not_member(S):
+        raise NotAMember("4 is not in S")
+
+    monkeypatch.setattr(apery, "report", not_member)
+    code, out, err = run(capsys, "info", "--gens", "2,3")
+    assert code == 1
+    assert err == "usage error: 4 is not in S\n"
     assert out == ""
 
 
