@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotAMember
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, apery_mask, bit_positions
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,8 @@ class AperyAnalysis:
 
 def apery_set(S: NumericalSemigroup) -> tuple[int, ...]:
     """Nonzero Apery elements: members x with x - m not a member. Sorted."""
-    m, c = S.multiplicity, S.conductor
-    return tuple(x for x in range(m + 1, c + m)
-                 if S.is_member(x) and not S.is_member(x - m))
+    return tuple(bit_positions(apery_mask(S.mask, S.multiplicity,
+                                          S.conductor)))
 
 
 def depth(S: NumericalSemigroup, x: int) -> int:
@@ -61,7 +60,7 @@ def total_depth(S: NumericalSemigroup, elements) -> int:
 
 def wilf_w(S: NumericalSemigroup) -> int:
     """W(S) = |P||L| - c; nonnegative iff S satisfies the Wilf inequality."""
-    return len(S.min_generators) * len(S.small_elements()) - S.conductor
+    return len(S.min_generators) * (S.conductor - S.genus) - S.conductor
 
 
 def analyze(S: NumericalSemigroup) -> AperyAnalysis:
@@ -137,7 +136,7 @@ def report(S: NumericalSemigroup) -> dict:
         "P": list(S.min_generators),
         "X": list(a.apery_x),
         "X_cap_D": sorted(a.x_decomposable),
-        "L_size": len(S.small_elements()),
+        "L_size": S.conductor - S.genus,
         "tau_X": a.tau_x,
         "W": a.wilf_w,
     }

@@ -132,7 +132,7 @@ def cmd_graph(args) -> int:
         ap = apery.analyze(S)
         # the edge weights of G(S) map onto X n D, so |E| >= |X n D|
         matching.check_edge_count(len(ap.x_decomposable))
-        G = semigraph.build_graph(S, ap)
+        G = semigraph.build_graph(S)
         weak, _ = semigraph.classify_edges(G, ap)
     ma = matching.analyze(G, weak)
     summary = {

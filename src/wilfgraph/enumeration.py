@@ -24,7 +24,7 @@ from multiprocessing import get_context
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
 from .semigraph import neighbor_masks
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, apery_mask
 
 GENUS_HARD_CAP = 30
 MAX_WORKERS = 64
@@ -71,9 +71,7 @@ def _remove_generator(node, p, window):
 
 def _node_semigroup(node) -> NumericalSemigroup:
     mask, d, m, f, g, gens = node
-    c = f + 1
-    table = bytes((mask >> x) & 1 for x in range(c + m))
-    return NumericalSemigroup(table, m, f, c, g, gens)
+    return NumericalSemigroup(mask, m, f + 1, gens)
 
 
 def _descend(node, window, cut):
@@ -140,9 +138,7 @@ class GenusCensus:
 
 
 def _graph_key(mask, m, c, cache):
-    # the nonzero Apery elements: members x in [m+1, c+m) with x - m a gap
-    x = (mask & ~(mask << m) & ((1 << (c + m)) - 1)) >> (m + 1) << (m + 1)
-    rows = neighbor_masks(x)
+    rows = neighbor_masks(apery_mask(mask, m, c))
     # the same graph over vertex positions, loops apart, for the labeling
     position = {1 << a: 1 << i for i, a in enumerate(rows)}
     adj = []

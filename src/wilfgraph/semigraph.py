@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matching
-from .apery import AperyAnalysis, analyze as apery_analyze, apery_set, \
+from .apery import AperyAnalysis, analyze as apery_analyze, \
     check_addition_rule, summand_closure_check
 from .errors import InconsistentDepths, InvariantViolation
 from .loopy import LoopyGraph
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, apery_mask, bit_positions
 
 
 def neighbor_masks(x: int) -> dict[int, int]:
@@ -44,19 +44,11 @@ def neighbor_masks(x: int) -> dict[int, int]:
     return out
 
 
-def build_graph(S: NumericalSemigroup,
-                apery: AperyAnalysis | None = None) -> LoopyGraph:
+def build_graph(S: NumericalSemigroup) -> LoopyGraph:
     """G(S): edges are pairs of nonzero Apery elements summing into the set."""
-    x = apery.apery_x if apery is not None else apery_set(S)
-    rows = neighbor_masks(sum(1 << v for v in x))
-    edges = []
-    for a, row in rows.items():
-        # one find per set bit b > a; bit b of row is character b of bits
-        bits = bin(row)[:1:-1]
-        b = bits.find("1", a + 1)
-        while b >= 0:
-            edges.append((a, b))
-            b = bits.find("1", b + 1)
+    rows = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
+    edges = [(a, b) for a, row in rows.items()
+             for b in bit_positions(row >> (a + 1) << (a + 1))]
     loops = [a for a, row in rows.items() if row >> a & 1]
     return LoopyGraph(rows, edges, loops)
 
@@ -157,7 +149,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     implementation bug, not a mathematical discovery.
     """
     apery = apery or apery_analyze(S)
-    G = G if G is not None else build_graph(S, apery)
+    G = G if G is not None else build_graph(S)
     x = apery.apery_x
     xset = set(x)
     xd = apery.x_decomposable
@@ -287,7 +279,7 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
         for j in range(1, q + 2) for i in range(j + 1))
     checks["summand_closure"] = summand_closure_check(S)
 
-    G = build_graph(S, ap)
+    G = build_graph(S)
     weak, normal = classify_edges(G, ap)
     wa = weight_analysis(S, G, ap)
     ma = matching.analyze(G, weak)

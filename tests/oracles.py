@@ -5,7 +5,7 @@ of matchings, and permutation search for isomorphism. None of it shares code
 with the package internals it validates.
 """
 
-from itertools import permutations
+from itertools import islice, permutations
 
 
 def sieve_members(gens, horizon):
@@ -20,6 +20,21 @@ def sieve_members(gens, horizon):
                 members.add(nxt)
                 frontier.append(nxt)
     return members
+
+
+def brute_minimal_generators(members):
+    """The nonzero members that are no sum of two nonzero members, trying
+    every smaller nonzero member as a summand. ``members`` must hold every
+    member below c + m."""
+    nonzero = sorted(members - {0})
+    return [x for i, x in enumerate(nonzero)
+            if not any(x - a in members for a in islice(nonzero, i))]
+
+
+def brute_apery(members, m):
+    """The nonzero members x with x - m not a member, sorted. ``members``
+    must hold every member below c + m."""
+    return sorted(x for x in members if x and x - m not in members)
 
 
 def all_matchings(edges):

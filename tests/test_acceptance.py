@@ -123,7 +123,7 @@ def test_criterion_8_figure_regression():
     S = from_generators([12, 13, 14, 15, 17, 19, 20, 21])
     ap = analyze(S)
     assert ap.apery_x == (13, 14, 15, 17, 19, 20, 21, 28, 30, 34, 35)
-    G = build_graph(S, ap)
+    G = build_graph(S)
     assert G.n == 7
     assert G.edge_count == 10
     assert sorted(G.loops) == [14, 15, 17]

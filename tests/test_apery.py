@@ -124,8 +124,8 @@ def test_report_fields(fig_semigroup):
 
 
 # <3, 4, 5> with 7 wrongly listed as a minimal generator: both Apery-side
-# identities fail
-_BROKEN = (bytes([1, 0, 0, 1, 1, 1]), 3, 2, 3, 2, (3, 4, 5, 7))
+# identities fail. The mask holds the members 0, 3, 4, 5 of [0, c + m).
+_BROKEN = (0b111001, 3, 3, (3, 4, 5, 7))
 
 
 def test_broken_semigroup_raises_invariant_violation():

@@ -10,8 +10,7 @@ from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
 
 
 def test_figure_graph(fig_semigroup):
-    ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     assert G.vertices == (13, 14, 15, 17, 19, 20, 21)
     assert sorted(G.loops) == [14, 15, 17]
     assert len(G.true_edges) == 7
@@ -20,7 +19,7 @@ def test_figure_graph(fig_semigroup):
 
 def test_figure_weights(fig_semigroup):
     ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     wa = weight_analysis(fig_semigroup, G, ap)
     assert {z: len(es) for z, es in wa.fibers.items()} == \
         {28: 2, 30: 2, 34: 4, 35: 2}
@@ -31,7 +30,7 @@ def test_figure_weights(fig_semigroup):
 
 def test_figure_all_normal(fig_semigroup):
     ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     weak, normal = classify_edges(G, ap)
     assert weak == frozenset()
     assert normal == frozenset(G.all_edges())
@@ -51,7 +50,7 @@ def test_weak_edges_instance():
     S = from_generators([8, 10, 12, 13, 14, 15, 17])
     ap = analyze(S)
     assert (ap.depth_q, ap.rho) == (3, 4)
-    G = build_graph(S, ap)
+    G = build_graph(S)
     weak, normal = classify_edges(G, ap)
     assert weak == frozenset({(12, 15), (13, 14)})
     for a, b in weak:
@@ -66,7 +65,7 @@ def test_weak_edges_instance():
 def test_all_weak_instance():
     S = from_generators([9, 11, 12, 13, 14, 15, 16, 17])
     ap = analyze(S)
-    G = build_graph(S, ap)
+    G = build_graph(S)
     weak, normal = classify_edges(G, ap)
     assert normal == frozenset()
     ma = analyze_matchings(G, weak)
@@ -77,7 +76,7 @@ def test_all_weak_instance():
 
 def test_classify_rejects_inconsistent_depths(fig_semigroup):
     ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     doctored = AperyAnalysis(ap.apery_x, {x: 0 for x in ap.depth_of},
                              ap.depth_q, ap.rho, ap.tau_x, ap.x_primitive,
                              ap.x_decomposable, ap.wilf_w)
@@ -88,7 +87,7 @@ def test_classify_rejects_inconsistent_depths(fig_semigroup):
 def test_weight_analysis_invariant_violation(fig_semigroup):
     # the edge weights of G(S) cover X n D; an emptied X n D cannot match
     ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     doctored = replace(ap, x_decomposable=frozenset())
     with pytest.raises(InvariantViolation):
         weight_analysis(fig_semigroup, G, doctored)
@@ -104,7 +103,7 @@ def test_tau_bound():
 
 def test_tau_bound_figure(fig_semigroup):
     ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     weak, _ = classify_edges(G, ap)
     ma = analyze_matchings(G, weak)
     assert tau_bound_holds(ap.tau_x, ap.depth_q, ma.nu, G.n, ma.vm)
@@ -114,8 +113,7 @@ def test_structural_suite_figure(fig_semigroup):
     suite = structural_lemma_suite(fig_semigroup)
     assert all(suite.values()), suite
     # N(15) = {13, 15, 19, 20}, the unique maximal degree; 15 is primitive
-    ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup, ap)
+    G = build_graph(fig_semigroup)
     degrees = {v: G.degree(v) for v in G.vertices}
     assert degrees[15] == 4
     assert max(degrees, key=degrees.get) == 15

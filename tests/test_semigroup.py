@@ -1,13 +1,34 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wilfgraph import (EmptyGenerators, InvalidTruncation,
-                       NonCoprimeGenerators, TooLarge, from_generators,
+                       NonCoprimeGenerators, NumericalSemigroup, TooLarge,
+                       analyze, apery_set, from_generators,
                        from_generators_truncated, parse_generators)
 from wilfgraph.semigroup import MAX_TABLE
 
-from oracles import sieve_members
+from oracles import brute_apery, brute_minimal_generators, sieve_members
+
+
+def _assert_matches_oracles(S, members, horizon):
+    # members: every member below horizon, sieved by the oracle; the horizon
+    # must exceed c + m, which bounds every minimal generator and X
+    gaps = set(range(horizon)) - members
+    c = max(gaps, default=-1) + 1
+    assert S.conductor == c
+    assert S.genus == len(gaps)
+    assert len(S.small_elements()) == sum(1 for x in members if x < c)
+    assert list(S.min_generators) == brute_minimal_generators(members)
+    m = min(members - {0})
+    assert list(apery_set(S)) == brute_apery(members, m)
+
+
+def _assert_matches_oracles_schur(S, gens):
+    # Schur: c <= (a_1 - 1)(a_n - 1), so this horizon exceeds c + m
+    a = sorted(set(gens))
+    horizon = (a[0] - 1) * (a[-1] - 1) + a[0] + 1
+    _assert_matches_oracles(S, sieve_members(gens, horizon), horizon)
 
 
 def test_natural_numbers():
@@ -183,6 +204,18 @@ def test_random_generators_roundtrip(gens):
     assert T.min_generators == S.min_generators
     assert T.conductor == S.conductor
     assert T.genus == S.genus
+    _assert_matches_oracles_schur(S, gens)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=200), min_size=1,
+                max_size=3))
+@example([197, 199])
+def test_large_generators_against_oracles(gens):
+    # two consecutive generators make the set coprime; tables this long
+    # outgrow the first sieve horizon, 2(a_n + a_1) + 2, so the doubling runs
+    gens = gens + [gens[0] + 1]
+    _assert_matches_oracles_schur(from_generators(gens), gens)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,6 +228,10 @@ def test_random_truncations(gens, t):
     expected = {x for x in sieve_members(gens, horizon) if x < horizon}
     expected |= set(range(t, horizon))
     assert set(S.members_below(horizon)) == expected
+    # c <= t and m <= a_1, so this horizon exceeds c + m
+    horizon = t + min(gens) + 1
+    members = sieve_members(gens, horizon) | set(range(t, horizon))
+    _assert_matches_oracles(S, members, horizon)
 
 
 def test_table_cap():
@@ -208,3 +245,26 @@ def test_table_cap():
     # the gcd is checked first
     with pytest.raises(NonCoprimeGenerators):
         from_generators([2 * MAX_TABLE, 4 * MAX_TABLE])
+
+
+def test_sieve_and_apery_read_the_mask(monkeypatch):
+    # the sieve and the Apery analysis read membership off the bitmask; one
+    # is_member call per element of [0, c + m) would be about 10^6 calls on
+    # <700, 701>, and one per integer below each of the 99 primitive Apery
+    # elements of <100> cut at 10^4 about as many
+    calls = 0
+    is_member = NumericalSemigroup.is_member
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return is_member(self, x)
+
+    monkeypatch.setattr(NumericalSemigroup, "is_member", counted)
+    monkeypatch.setattr(NumericalSemigroup, "__contains__", counted)
+    for build in (lambda: from_generators([700, 701]),
+                  lambda: from_generators_truncated([100], 10_000)):
+        calls = 0
+        S = build()
+        analyze(S)
+        assert calls <= 10 * S.multiplicity, S
