@@ -209,8 +209,9 @@ def cmd_verify(args) -> int:
     report = enumeration.verify_wilf_range(args.genus_max, workers=args.workers)
     exhaustive_cap = min(args.genus_max, 12)
     exhaustive = list(enumeration.iter_semigroups(exhaustive_cap))
-    samples = [S for g in range(13, args.genus_max + 1)
-               for S in enumeration.sample_semigroups(g, 25, seed=args.seed + g)]
+    drawn = enumeration.sample_semigroups(range(13, args.genus_max + 1), 25,
+                                          args.seed)
+    samples = [S for genus in drawn.values() for S in genus]
     failures: list[str] = []
     for S in exhaustive + samples:
         bad = [k for k, ok in semigraph.invariant_report(S).items() if not ok]

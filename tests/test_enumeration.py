@@ -40,9 +40,14 @@ def test_each_semigroup_visited_once():
 
 
 def test_stream_consistency():
+    # each node's mask, multiplicity, conductor and genus come from its
+    # parent's; sieving its generators again must give the same values
     for S in iter_semigroups(10):
         assert S.genus == len(S.gaps())
-        assert S == from_generators(S.min_generators)
+        T = from_generators(S.min_generators)
+        assert S == T
+        assert (S.mask, S.multiplicity, S.conductor, S.genus) == \
+            (T.mask, T.multiplicity, T.conductor, T.genus)
 
 
 def test_gamma_small():
@@ -105,14 +110,14 @@ def test_worker_determinism_deep_split():
 
 def test_batches_balanced():
     # no batch of the pool carries half the nodes below the frontier
-    g_max, window = 18, enumeration._window(18)
+    g_max = 18
     split = max(g_max - enumeration._SPLIT_DEPTH, enumeration._SPLIT_FLOOR)
     frontier = []
-    above = sum(1 for _ in enumeration._above(window, split, frontier))
+    above = sum(1 for _ in enumeration._above(split, frontier))
     assert above == 1 + sum(NG[:split - 1])
     assert len(frontier) == NG[split - 1]
     sizes = [sum(1 for root in batch
-                 for _ in enumeration._descend(root, window, g_max))
+                 for _ in enumeration._descend(root, g_max))
              for batch in enumeration._deal(frontier, 2)]
     assert len(sizes) == 2 * enumeration._BATCHES_PER_WORKER
     assert sum(sizes) == sum(NG[split - 1:g_max])
@@ -161,10 +166,31 @@ def test_hypothesis_first_failures_beyond_twenty():
 
 
 def test_sampling_deterministic():
-    a = sample_semigroups(14, 10, seed=3)
-    b = sample_semigroups(14, 10, seed=3)
-    assert [s.min_generators for s in a] == [s.min_generators for s in b]
-    assert all(s.genus == 14 for s in a)
+    a = sample_semigroups([14, 9], 10, seed=3)
+    b = sample_semigroups([14, 9], 10, seed=3)
+    assert list(a) == [14, 9]
+    for g in (14, 9):
+        assert [S.min_generators for S in a[g]] == \
+            [S.min_generators for S in b[g]]
+        assert len(a[g]) == 10
+        assert all(S.genus == g for S in a[g])
+    # a genus with fewer semigroups than asked for is returned whole
+    assert sample_semigroups([3], 10, seed=3)[3] == list(iter_semigroups(3, 3))
+    assert sample_semigroups([], 10, seed=3) == {}
+    with pytest.raises(ValueError):
+        sample_semigroups([31], 1, seed=3)
+
+
+def test_sampling_diverse():
+    # 30 draws per genus are mostly distinct, and the share with a nonempty
+    # G(S) is close to the share over the whole genus
+    samples = sample_semigroups(range(13, 19), 30, seed=100)
+    nonempty = Counter(S.genus for S in iter_semigroups(18)
+                       if S.genus >= 13 and build_graph(S).n)
+    for g, drawn in samples.items():
+        assert len(set(drawn)) >= 25
+        share = sum(1 for S in drawn if build_graph(S).n) / len(drawn)
+        assert abs(share - nonempty[g] / NG[g - 1]) <= 0.2
 
 
 def test_genus_bounds():

@@ -221,6 +221,12 @@ def test_large_generators_against_oracles(gens):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=4),
        st.integers(min_value=1, max_value=40))
+# cut off at t, most Apery elements are primitive, and each one is tested
+# against every generator found below it
+@example([60, 61], 2700)
+@example([40], 1600)
+@example([25, 31], 700)
+@example([30, 45, 47], 900)
 def test_random_truncations(gens, t):
     S = from_generators_truncated(gens, t)
     assert S.conductor <= t
