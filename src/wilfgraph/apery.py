@@ -85,10 +85,21 @@ def analyze(S: NumericalSemigroup) -> AperyAnalysis:
     return AperyAnalysis(x, depth_of, q, rho, tau, x_prim, x_dec, w)
 
 
-def _layer(S: NumericalSemigroup, i: int, rho: int) -> list[int]:
-    m = S.multiplicity
-    lo, hi = i * m - rho, i * m + m - rho
-    return [v for v in range(max(lo, 0), hi) if S.is_member(v)]
+def depth_sum_inequality(S: NumericalSemigroup) -> bool:
+    """q - min(rho, 1) <= delta(a) + delta(b) - delta(a + b) <= q + 1 for all
+    members a <= b below c + 2m.
+
+    Moving a or b by m moves delta(a + b) with it, so the expression depends
+    only on the classes of a - c and b - c mod m: one representative pair per
+    unordered pair of the classes met below c + 2m covers every pair.
+    """
+    m, c = S.multiplicity, S.conductor
+    q = -(-c // m)
+    bounds = range(q - min(q * m - c, 1), q + 2)
+    reps = {(v - c) % m: v for v in S.members_below(c + 2 * m)}
+    delta = [(a, -((a - c) // m)) for a in reps.values()]
+    return all(da + db + (a + b - c) // m in bounds
+               for i, (a, da) in enumerate(delta) for b, db in delta[i:])
 
 
 def check_addition_rule(S: NumericalSemigroup, i: int, j: int) -> bool:
@@ -98,18 +109,31 @@ def check_addition_rule(S: NumericalSemigroup, i: int, j: int) -> bool:
     is a width-m window, hence finite; sums beyond the table fall under the
     x >= c membership rule.
     """
+    return addition_rule(S, [(i, j)])
+
+
+def addition_rule(S: NumericalSemigroup, pairs) -> bool:
+    """check_addition_rule on every layer pair (i, j) given, reading each
+    layer once.
+
+    (a + b + rho) // m grows with a + b and the allowed layers form an
+    interval, so the least and the greatest sums decide a pair. Layer i is
+    [i*m - rho, i*m + m - rho), read off the mask with every x >= c set.
+    """
     m, c = S.multiplicity, S.conductor
-    q = -(-c // m)
-    rho = q * m - c
-    allowed = {i + j, i + j + 1}
-    if rho != 0:
-        allowed.add(i + j - 1)
-    si, sj = _layer(S, i, rho), _layer(S, j, rho)
-    for a in si:
-        for b in sj:
-            if (a + b + rho) // m not in allowed:
-                return False
-    return True
+    rho = -c % m
+    top = max(max(pair) for pair in pairs)
+    mask = S.mask | ((1 << max((top + 1) * m - rho, c)) - (1 << c))
+    ends = []           # (min S_i, max S_i), or None for an empty layer
+    for i in range(top + 1):
+        lo = max(i * m - rho, 0)
+        w = mask >> lo & ((1 << (i * m + m - rho - lo)) - 1)
+        ends.append((lo + (w & -w).bit_length() - 1, lo + w.bit_length() - 1)
+                    if w else None)
+    return all(not ends[i] or not ends[j]
+               or i + j - (rho != 0) <= (ends[i][0] + ends[j][0] + rho) // m
+               and (ends[i][1] + ends[j][1] + rho) // m <= i + j + 1
+               for i, j in pairs)
 
 
 def summand_closure_check(S: NumericalSemigroup) -> bool:

@@ -8,6 +8,7 @@ graphs on few vertices, and a seeded random generator for sampled suites.
 from __future__ import annotations
 
 from .errors import InvariantViolation, TooLarge
+from .semigroup import bit_positions
 
 # Genus-20 censuses produce associated graphs on up to 18 vertices, so the
 # canonical-labeling cap leaves headroom beyond that.
@@ -76,13 +77,12 @@ class LoopyGraph:
     def neighbors(self, v) -> set:
         """N(v): adjacent vertices, including v itself when v is loopy."""
         i = self._pos[v]
-        out = {self.vertices[j] for j in range(self.n) if self._adj[i] >> j & 1}
-        if v in self.loops:
-            out.add(v)
-        return out
+        return {self.vertices[j]
+                for j in bit_positions(self._adj[i] | self._loopmask & 1 << i)}
 
     def degree(self, v) -> int:
-        return len(self.neighbors(v))
+        i = self._pos[v]
+        return self._adj[i].bit_count() + (self._loopmask >> i & 1)
 
     def has_edge(self, a, b) -> bool:
         if a == b:

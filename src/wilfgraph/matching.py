@@ -6,9 +6,12 @@ weak/normal edge labeling, the normality number nu(G) is the maximum, over
 vertex-maximal matchings, of vertices touched by normal edges; both are solved
 together through the lexicographic objective (touched, normal_touched).
 
-Two solver paths: a memoized branch-and-bound over edge subsets for at most
-24 edges, and a reduction to maximum-weight matching (loops become pendant
-gadget edges of half the weight) beyond that. They agree on the overlap.
+Both solver paths answer best(free), the optimum over matchings inside a
+vertex mask. Up to 24 edges, a dynamic program over free-vertex masks keeps
+one memo per graph: at the lowest free vertex v, either leave v unmatched or
+take an edge whose lowest end is v and whose ends are both free. Beyond that,
+a reduction to maximum-weight matching (loops become pendant gadget edges of
+half the weight) runs once per mask asked. They agree on the overlap.
 Graphs over _MAX_EDGES = 100 edges, loops included, raise TooLarge (about a
 second of analysis); the census graphs to genus 20 have at most 22 edges.
 """
@@ -53,37 +56,37 @@ def _edge_triples(G: LoopyGraph, weak):
     edges = G.all_edges()
     triples = []
     for a, b in edges:
-        mask = 1 << G._pos[a]
-        touch = 1
-        if a != b:
-            mask |= 1 << G._pos[b]
-            touch = 2
+        mask = 1 << G._pos[a] | 1 << G._pos[b]
+        touch = mask.bit_count()        # a loop touches one vertex
         bonus = 0 if (a, b) in weak else touch
         triples.append((mask, touch, bonus))
     return edges, triples
 
 
-def _solve_bb(triples):
-    """Lexicographically best (touched, bonus, chosen indices) matching."""
-    memo: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+def _solve_bb(triples, n):
+    """best(free): the lexicographically best (touched, bonus, chosen
+    indices) over matchings inside the vertex mask free, memoized on free."""
+    starting_at = [[] for _ in range(n)]     # edges by their lowest end
+    for i, (mask, touch, bonus) in enumerate(triples):
+        starting_at[(mask & -mask).bit_length() - 1].append(
+            (mask, touch, bonus, i))
+    memo: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
 
-    def best(i: int, used: int):
-        if i == len(triples):
-            return (0, 0, ())
-        key = (i, used)
-        hit = memo.get(key)
+    def best(free: int):
+        hit = memo.get(free)
         if hit is not None:
             return hit
-        t, b, chosen = best(i + 1, used)
-        mask, touch, bonus = triples[i]
-        if not mask & used:
-            t2, b2, chosen2 = best(i + 1, used | mask)
-            if (t2 + touch, b2 + bonus) > (t, b):
-                t, b, chosen = t2 + touch, b2 + bonus, (i,) + chosen2
-        memo[key] = (t, b, chosen)
-        return memo[key]
+        low = free & -free
+        t, b, chosen = best(free ^ low)         # leave the lowest unmatched
+        for mask, touch, bonus, i in starting_at[low.bit_length() - 1]:
+            if mask & free == mask:
+                t2, b2, chosen2 = best(free ^ mask)
+                if (t2 + touch, b2 + bonus) > (t, b):
+                    t, b, chosen = t2 + touch, b2 + bonus, chosen2 + (i,)
+        memo[free] = t, b, chosen
+        return t, b, chosen
 
-    return best(0, 0)
+    return best
 
 
 def _solve_blossom(triples, n):
@@ -96,14 +99,12 @@ def _solve_blossom(triples, n):
     """
     scale = 2 * n + 1
     graph = nx.Graph()
-    ends = []
     for idx, (mask, touch, bonus) in enumerate(triples):
         bits = [i for i in range(n) if mask >> i & 1]
         if touch == 1:
             u, v = bits[0], n + idx
         else:
             u, v = bits
-        ends.append((u, v))
         graph.add_edge(u, v, weight=touch * scale + bonus, index=idx)
     mate = nx.max_weight_matching(graph, maxcardinality=False)
     chosen = tuple(sorted(graph.edges[u, v]["index"] for u, v in mate))
@@ -113,31 +114,30 @@ def _solve_blossom(triples, n):
 
 
 def _solve(triples, n):
+    """best(free): one memoized DP up to the edge limit; past it, each mask
+    is solved alone, by the solver for the number of edges inside it."""
     if len(triples) <= _BB_EDGE_LIMIT:
-        return _solve_bb(triples)
-    return _solve_blossom(triples, n)
+        return _solve_bb(triples, n)
+
+    def best(free: int):
+        inside = [i for i, t in enumerate(triples) if t[0] & free == t[0]]
+        sub = [triples[i] for i in inside]
+        t, b, chosen = (_solve_blossom(sub, n) if len(sub) == len(triples)
+                        else _solve(sub, n)(free))
+        return t, b, tuple(inside[i] for i in chosen)
+
+    return best
 
 
 def vertex_maximal_matching(G: LoopyGraph) -> tuple[int, tuple]:
     """vm(G) together with one witness matching achieving it."""
     edges, triples = _edge_triples(G, frozenset())
-    touched, _, chosen = _solve(triples, G.n)
-    return touched, tuple(edges[i] for i in chosen)
+    touched, _, chosen = _solve(triples, G.n)((1 << G.n) - 1)
+    return touched, tuple(edges[i] for i in sorted(chosen))
 
 
 def vm(G: LoopyGraph) -> int:
     return vertex_maximal_matching(G)[0]
-
-
-def _active(edges, triples, k, n) -> frozenset:
-    # vm is the first objective whatever the bonuses, so any triples will do
-    out = set()
-    for i, (mask, touch, _) in enumerate(triples):
-        rest = [t for t in triples if not t[0] & mask]
-        sub, _, _ = _solve(rest, n)
-        if sub == k - touch:
-            out.add(edges[i])
-    return frozenset(out)
 
 
 def active_edges(G: LoopyGraph) -> frozenset:
@@ -146,24 +146,25 @@ def active_edges(G: LoopyGraph) -> frozenset:
     An edge e is active iff deleting its endvertices (with every incident
     edge) drops vm by exactly the number of vertices e touches.
     """
-    edges, triples = _edge_triples(G, frozenset())
-    return _active(edges, triples, _solve(triples, G.n)[0], G.n)
+    return analyze(G).active_edges
 
 
 def normality_number(G: LoopyGraph, weak_edges=frozenset()) -> int:
     """nu(G): most vertices touched by normal edges in a vertex-maximal matching."""
-    _, triples = _edge_triples(G, frozenset(weak_edges))
-    _, nu, _ = _solve(triples, G.n)
-    return nu
+    return analyze(G, weak_edges).nu
 
 
 def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     """Full matching analysis; with no weak edges, nu equals vm."""
     weak = frozenset(weak_edges)
     edges, triples = _edge_triples(G, weak)
-    k, nu, chosen = _solve(triples, G.n)
-    witness = tuple(edges[i] for i in chosen)
-    active = _active(edges, triples, k, G.n)
+    best, full = _solve(triples, G.n), (1 << G.n) - 1
+    k, nu, chosen = best(full)
+    witness = tuple(edges[i] for i in sorted(chosen))
+    # vm is the first objective whatever the bonuses, so one memo answers
+    # each query: e is active iff G minus its ends reaches k - touch(e)
+    active = frozenset(e for e, (mask, touch, _) in zip(edges, triples)
+                       if best(full & ~mask)[0] == k - touch)
     loop_count = G.loop_count
     if not loop_count <= k <= G.n:
         raise InvariantViolation(f"vm = {k} outside [{loop_count}, {G.n}]")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matching
-from .apery import AperyAnalysis, analyze as apery_analyze, \
-    check_addition_rule, summand_closure_check
+from .apery import AperyAnalysis, addition_rule, analyze as apery_analyze, \
+    depth_sum_inequality
 from .errors import InconsistentDepths, InvariantViolation
 from .loopy import LoopyGraph
 from .semigroup import NumericalSemigroup, apery_mask, bit_positions
@@ -158,6 +158,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     v_p = v_all & prim
     v_d = v_all - v_p
     factors_of = {u: list(S.factors(u)) for u in sorted(xset | v_all)}
+    nbrs = {u: G.neighbors(u) for u in v_all}
 
     checks: dict[str, bool] = {}
 
@@ -170,8 +171,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     checks["v_equals_factors_of_xd"] = v_all == proper_factor_pool
 
     checks["neighborhoods_are_downsets"] = all(
-        w in G.neighbors(u)
-        for u in v_all for y in G.neighbors(u) for w in factors_of[y])
+        w in nbrs[u] for u in v_all for y in nbrs[u] for w in factors_of[y])
 
     checks["p_exceeds_v_cap_p"] = len(prim) >= len(v_p) + 1
 
@@ -179,24 +179,18 @@ def structural_lemma_suite(S: NumericalSemigroup,
         G.degree(v) > G.degree(u)
         for u in v_all for v in factors_of[u] if v in v_all)
 
-    if v_all:
-        top = max(G.degree(v) for v in v_all)
-        checks["max_degree_primitive"] = all(
-            v in v_p for v in v_all if G.degree(v) == top)
-    else:
-        checks["max_degree_primitive"] = True
+    top = max(map(G.degree, v_all), default=0)
+    checks["max_degree_primitive"] = all(
+        v in v_p for v in v_all if G.degree(v) == top)
 
     checks["equal_degree_antichain"] = all(
         G.degree(v) != G.degree(u)
         for u in v_all for v in factors_of[u] if v in v_all)
 
-    if v_d:
-        lengths = _lengths(S, max(v_d))
-        longest = max(lengths[u] for u in v_d)
-        checks["max_length_nonloopy"] = all(
-            u not in G.loops for u in v_d if lengths[u] == longest)
-    else:
-        checks["max_length_nonloopy"] = True
+    lengths = _lengths(S, max(v_d, default=0))
+    longest = max((lengths[u] for u in v_d), default=0)
+    checks["max_length_nonloopy"] = all(
+        u not in G.loops for u in v_d if lengths[u] == longest)
 
     checks["all_loopy_forces_v_primitive"] = (
         not v_all or set(G.loops) != v_all or not v_d)
@@ -205,7 +199,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     checks["nonloopy_divides_no_neighbor"] = all(
         not S.is_member(z - y)
         for y in v_all if y not in G.loops
-        for z in G.neighbors(y))
+        for z in nbrs[y])
 
     checks["factor_of_loopy_is_loopy"] = all(
         v in G.loops
@@ -215,13 +209,9 @@ def structural_lemma_suite(S: NumericalSemigroup,
         G.loop_count != 1 or next(iter(G.loops)) in prim)
 
     ok = all(len(v_d) >= G.degree(u) for u in v_d)
-    if len(v_d) == 1:
-        u = next(iter(v_d))
-        nbrs = G.neighbors(u)
-        ok = ok and len(nbrs) == 1
-        if ok:
-            w = next(iter(nbrs))
-            ok = w in v_p and u == 2 * w
+    if len(v_d) == 1:       # then N(u) = {u / 2}, a primitive
+        (u,) = v_d
+        ok = ok and u % 2 == 0 and u // 2 in v_p and nbrs[u] == {u // 2}
     checks["v_cap_d_degree_bound"] = ok
 
     e_total = G.edge_count
@@ -229,18 +219,10 @@ def structural_lemma_suite(S: NumericalSemigroup,
         len(xd) <= e_total - G.degree(u)
         for u in v_d if not any(2 * p == u for p in prim))
 
-    if len(xd) == e_total:
-        leaf_ok = True
-        for a, b in G.all_edges():
-            if a in v_p and b in v_p:
-                continue
-            pair = sorted((a, b))
-            if not (pair[0] in v_p and pair[1] == 2 * pair[0]
-                    and G.neighbors(pair[1]) == {pair[0]}):
-                leaf_ok = False
-        checks["leaf_structure"] = leaf_ok
-    else:
-        checks["leaf_structure"] = True
+    # an edge (a, b), a <= b, joins two primitives or is a leaf b = 2a at a
+    checks["leaf_structure"] = len(xd) != e_total or all(
+        a in v_p and (b in v_p or b == 2 * a and nbrs[b] == {a})
+        for a, b in G.all_edges())
 
     return checks
 
@@ -270,14 +252,9 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
         c <= v + delta[v] * m < c + m for v in window)
     checks["layer_characterizations_agree"] = all(
         q - delta[v] == (v + rho) // m for v in window)
-    lo = q - min(rho, 1)
-    checks["depth_sum_inequality"] = all(
-        delta[a] + delta[b] - (-((a + b - c) // m)) in range(lo, q + 2)
-        for i, a in enumerate(window) for b in window[i:])
-    checks["addition_rule"] = all(
-        check_addition_rule(S, i, j)
-        for j in range(1, q + 2) for i in range(j + 1))
-    checks["summand_closure"] = summand_closure_check(S)
+    checks["depth_sum_inequality"] = depth_sum_inequality(S)
+    checks["addition_rule"] = addition_rule(
+        S, [(i, j) for j in range(1, q + 2) for i in range(j + 1)])
 
     G = build_graph(S)
     weak, normal = classify_edges(G, ap)
@@ -288,11 +265,9 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     checks["xd_at_most_edges"] = len(ap.x_decomposable) <= G.edge_count
     checks["fiber_identity"] = len(ap.x_decomposable) == G.edge_count - sum(
         len(f) - 1 for f in wa.fibers.values())
-    edge_list = G.all_edges()
-    checks["adjacent_weights_distinct"] = all(
-        len({wa.weight_of[e] for e in edge_list if v in e})
-        == sum(1 for e in edge_list if v in e)
-        for v in G.vertices)
+    # each (vertex, weight) incidence once: no vertex meets a weight twice
+    at = [(v, z) for e, z in wa.weight_of.items() for v in set(e)]
+    checks["adjacent_weights_distinct"] = len(set(at)) == len(at)
     checks["rho_zero_forces_normal"] = rho != 0 or not weak
     checks["weak_targets_depth_zero"] = all(
         ap.depth_of[wa.weight_of[e]] == 0 for e in weak)

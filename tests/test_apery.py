@@ -3,11 +3,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wilfgraph
 from wilfgraph import (InvariantViolation, NotAMember, NumericalSemigroup,
-                       analyze, apery_set, check_addition_rule, depth, from_generators, iter_semigroups, layer_index,
-                       report, summand_closure_check, total_depth, wilf_w)
+                       analyze, apery_set, check_addition_rule, depth,
+                       from_generators, iter_semigroups, layer_index, report,
+                       summand_closure_check, total_depth, wilf_w)
+from wilfgraph.apery import addition_rule, depth_sum_inequality
+
+from oracles import addition_rule_pairwise, depth_sum_pairwise
 
 
 def test_apery_two_three():
@@ -103,6 +108,42 @@ def test_addition_rule_exhaustive_small():
         for j in range(1, q + 2):
             for i in range(j + 1):
                 assert check_addition_rule(S, i, j)
+
+
+def _layer_pairs(S):
+    q = -(-S.conductor // S.multiplicity)
+    return [(i, j) for j in range(1, q + 2) for i in range(j + 1)]
+
+
+def test_fast_keys_match_pairwise_oracles():
+    for S in iter_semigroups(14):
+        assert depth_sum_inequality(S) == depth_sum_pairwise(S), S
+        pairs = _layer_pairs(S)
+        assert addition_rule(S, pairs) == all(
+            addition_rule_pairwise(S, i, j) for i, j in pairs), S
+
+
+@st.composite
+def pseudo_semigroups(draw):
+    """A membership mask with 0, no element in (0, m), m when m < c, random
+    elements in (m, c) and all of [c, c + m): not closed under addition."""
+    m = draw(st.integers(2, 9))
+    c = draw(st.integers(m, m + 30))
+    middle = draw(st.integers(0, (1 << max(c - m - 1, 0)) - 1))
+    mask = (1 | (1 << m if c > m else 0) | middle << (m + 1)
+            | ((1 << (c + m)) - (1 << c)))
+    return NumericalSemigroup(mask, m, c, (m,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pseudo_semigroups())
+def test_fast_keys_match_pairwise_oracles_off_semigroups(S):
+    pairs = _layer_pairs(S)
+    for i, j in pairs:
+        assert check_addition_rule(S, i, j) == addition_rule_pairwise(S, i, j)
+    assert addition_rule(S, pairs) == all(addition_rule_pairwise(S, i, j)
+                                          for i, j in pairs)
+    assert depth_sum_inequality(S) == depth_sum_pairwise(S)
 
 
 def test_summand_closure(fig_semigroup):

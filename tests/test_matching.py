@@ -7,8 +7,8 @@ from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
                        all_loopy_graphs, analyze_matchings, edge_maximal_check,
                        extremal_edge_search, loopy_complete, normality_number,
                        random_loopy_graph, vertex_maximal_matching, vm)
-from wilfgraph.matching import (_MAX_EDGES, _edge_triples, _solve_bb,
-                                _solve_blossom)
+from wilfgraph.matching import (_BB_EDGE_LIMIT, _MAX_EDGES, _edge_triples,
+                                _solve_bb, _solve_blossom)
 
 from oracles import brute_matching_stats
 
@@ -93,20 +93,34 @@ def test_oracle_equivalence_random():
         assert ma.active_edges == frozenset(act)
 
 
+def _graph_with_edges(rng, n, count):
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    rng.shuffle(pairs)
+    chosen = pairs[:count]
+    touched = sorted({v for e in chosen for v in e})
+    relabel = {v: j for j, v in enumerate(touched)}
+    return LoopyGraph(range(len(touched)),
+                      [(relabel[a], relabel[b]) for a, b in chosen if a != b],
+                      [relabel[a] for a, b in chosen if a == b])
+
+
 def test_solver_paths_agree():
-    # branch-and-bound and the blossom reduction agree on the overlap region
+    # the vertex-mask DP and the blossom reduction agree on the overlap
+    # region, up to the switch at 24 edges
     rng = random.Random(3)
-    for _ in range(120):
-        G = random_loopy_graph(rng, 2, 8, 12)
+    graphs = [random_loopy_graph(rng, 2, 8, 12) for _ in range(120)]
+    graphs += [_graph_with_edges(rng, rng.randint(7, 10), count)
+               for count in range(16, _BB_EDGE_LIMIT + 1) for _ in range(5)]
+    for G in graphs:
         weak = frozenset(e for e in G.all_edges() if rng.random() < 0.3)
         _, triples = _edge_triples(G, weak)
-        bb = _solve_bb(triples)
+        bb = _solve_bb(triples, G.n)((1 << G.n) - 1)
         bl = _solve_blossom(triples, G.n)
         assert bb[:2] == bl[:2]
 
 
 def test_blossom_path_on_large_graph():
-    # LK_7 has 28 edges, beyond the branch-and-bound cutoff
+    # LK_7 has 28 edges, beyond the vertex-mask DP cutoff
     lk7 = loopy_complete(7)
     assert lk7.edge_count == 28
     assert vm(lk7) == 7
@@ -153,24 +167,24 @@ def test_extremal_infeasible():
         extremal_edge_search(2, 1)
 
 
-def test_analyze_solves_once_per_edge_plus_one(monkeypatch):
-    # vm is solved once; each edge then needs one solve without its ends
+def test_analyze_builds_one_solver(monkeypatch):
+    # vm, nu, the witness and every active-edge query share one memo
     from wilfgraph import matching
-    calls = []
-    real = matching._solve
-    monkeypatch.setattr(matching, "_solve",
-                        lambda triples, n: calls.append(1) or real(triples, n))
+    builds = []
+    real = matching._solve_bb
+    monkeypatch.setattr(matching, "_solve_bb",
+                        lambda triples, n: builds.append(1) or real(triples, n))
     G = loopy_complete(3)
     ma = analyze_matchings(G)
-    assert len(calls) == 1 + G.edge_count
-    assert ma.active_edges == active_edges(G)
+    assert len(builds) == 1
+    assert ma.active_edges == active_edges(G) == brute_matching_stats(G)[2]
 
 
 def test_matching_analyze_invariant_violation(monkeypatch):
     from wilfgraph import matching
     G = loopy_complete(3)
     monkeypatch.setattr(matching, "_solve",
-                        lambda triples, n: (n + 1, 0, ()))
+                        lambda triples, n: lambda free: (n + 1, 0, ()))
     with pytest.raises(InvariantViolation):
         analyze_matchings(G)
 
