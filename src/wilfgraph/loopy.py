@@ -180,6 +180,10 @@ def loopy_complete(n: int) -> LoopyGraph:
 # with orbit pruning from automorphisms discovered at equal leaves. The key is
 # the minimum adjacency encoding over the leaves of the search tree; it fully
 # encodes the graph, so equal keys always decode to isomorphic graphs.
+# A branch on v is also skipped when an explored u in its cell (so of equal
+# loop status) is its twin, rows equal outside {u, v}: (u v) then fixes the
+# base and maps u's subtree onto v's, leaf encodings included. Both prunings
+# drop only repeated encodings, so the minimum, the key, is unchanged.
 
 
 def _refine(cells, adj):
@@ -227,8 +231,6 @@ def _encode(order, adj, loopmask):
 
 
 def _same_orbit(u, v, gens, n):
-    if not gens:
-        return False
     seen = {u}
     frontier = [u]
     while frontier:
@@ -281,10 +283,14 @@ def _canonical_key(n, adj, loopmask) -> str:
             visit_leaf(tuple(v for cell in cells for v in cell))
             return
         cell = cells[target]
-        explored: list[int] = []
+        explored, fixing, filtered = [], [], 0
         for v in cell:
-            applicable = [g for g in aut_gens if all(g[b] == b for b in base)]
-            if any(_same_orbit(v, u, applicable, n) for u in explored):
+            if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in explored):
+                continue                # v is the twin of an explored u
+            fixing += [g for g in aut_gens[filtered:]   # new ones fixing base
+                       if all(g[b] == b for b in base)]
+            filtered = len(aut_gens)
+            if fixing and any(_same_orbit(v, u, fixing, n) for u in explored):
                 continue
             explored.append(v)
             rest = [u for u in cell if u != v]
@@ -309,6 +315,9 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
     Built by vertex augmentation with canonical-key rejection; intermediate
     levels keep isolated vertices (any graph arises by deleting its last
     vertex), the final level drops them to honor the loopy-graph contract.
+    The first-seen child of a class is kept, so skipping a neighbor set with j
+    but not its twin i < j (same loop bit, rows equal outside {i, j}) keeps
+    every representative: swapping i, j gives a smaller set, seen first.
     """
     if n < 0 or n > _MAX_CATALOG:
         raise ValueError(f"catalog supports 0 <= n <= {_MAX_CATALOG}, got {n}")
@@ -320,7 +329,12 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
         nxt: dict[str, tuple[tuple[int, ...], int]] = {}
         new_bit = 1 << (k - 1)
         for adj, loopmask in level.values():
+            twins = [(1 << i | 1 << j, 1 << j) for j in range(k - 1)
+                     for i in range(j) if loopmask >> i & 1 == loopmask >> j & 1
+                     and adj[i] & ~(1 << j) == adj[j] & ~(1 << i)]
             for nbrs in range(1 << (k - 1)):
+                if any(nbrs & pair == bj for pair, bj in twins):
+                    continue
                 grown = [row | new_bit if nbrs >> i & 1 else row
                          for i, row in enumerate(adj)]
                 grown.append(nbrs)

@@ -91,20 +91,26 @@ def weight_analysis(S: NumericalSemigroup, G: LoopyGraph,
     """
     weight_of = {}
     fibers: dict[int, set] = {}
-    x0 = set()
+    x0, weak_weights = set(), set()
     q, depth_of = apery.depth_q, apery.depth_of
+    floor = q - min(apery.rho, 1)
     for a, b in G.all_edges():
         z = a + b
         weight_of[(a, b)] = z
         fibers.setdefault(z, set()).add((a, b))
-        if depth_of[a] + depth_of[b] == depth_of[z] + q - 1:
+        s = depth_of[a] + depth_of[b]
+        if s < floor:       # the classify_edges check, on the same edges
+            raise InconsistentDepths(
+                f"edge ({a}, {b}) has depth sum {s} < {floor}")
+        if s == q - 1:
+            weak_weights.add(z)
+        if s == depth_of[z] + q - 1:
             x0.add(z)
     if set(fibers) != apery.x_decomposable:
         raise InvariantViolation("edge weights do not map onto X n D")
     if len(x0) > apery.rho:
         raise InvariantViolation(f"|X0| = {len(x0)} exceeds rho = {apery.rho}")
-    weak, _ = classify_edges(G, apery)
-    if len({weight_of[e] for e in weak}) > apery.rho:
+    if len(weak_weights) > apery.rho:
         raise InvariantViolation(f"weak edges have more than rho = "
                                  f"{apery.rho} weights")
     return WeightAnalysis(weight_of,

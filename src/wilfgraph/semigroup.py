@@ -46,7 +46,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("min_generators", "multiplicity", "frobenius", "conductor",
-                 "genus", "mask")
+                 "genus", "mask", "_bits")
 
     def __init__(self, mask, multiplicity, conductor, min_generators):
         # Internal constructor; use from_generators / from_generators_truncated.
@@ -57,6 +57,7 @@ class NumericalSemigroup:
         self.conductor = conductor
         self.genus = conductor - (mask & ((1 << conductor) - 1)).bit_count()
         self.min_generators = tuple(min_generators)
+        self._bits = ""     # reversed mask for factors, built on first use
 
     # -- membership ------------------------------------------------------
 
@@ -87,8 +88,9 @@ class NumericalSemigroup:
 
     def factors(self, z: int):
         """Each a in S* with z - a in S*, lazily and in increasing order."""
-        bits = bin(self.mask)[:1:-1]
-        bits += "1" * (z + 1 - len(bits))   # every x >= c is a member
+        bits = self._bits   # character x is "1" iff x is a member
+        if len(bits) <= z:  # every x >= c is a member
+            bits = self._bits = bin(self.mask)[:1:-1].ljust(z + 1, "1")
         m = self.multiplicity
         end = max(z - m + 1, 0)     # a negative end would count from the right
         a = bits.find("1", m, end)

@@ -119,3 +119,155 @@ def addition_rule_pairwise(S, i, j):
             if (a + b + rho) // m not in allowed:
                 return False
     return True
+
+
+# -- canonical labeling and catalog without twin pruning ----------------------
+#
+# The labeling and the augmentation catalog as they were before the search
+# skipped twin branches and the catalog skipped twin augmentations: the keys
+# and the catalog must not change when those prunings are added.
+
+
+def _refine(cells, adj):
+    while True:
+        changed = False
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            new_cells = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    changed = True
+                    for count in sorted(groups):
+                        new_cells.append(groups[count])
+            cells = new_cells
+            if changed:
+                break
+        if not changed:
+            return cells
+
+
+def _encode(order, adj, loopmask):
+    n = len(order)
+    loops_bits = 0
+    adj_bits = 0
+    bit = 0
+    for i, v in enumerate(order):
+        if loopmask >> v & 1:
+            loops_bits |= 1 << i
+        row = adj[v]
+        for j in range(i + 1, n):
+            if row >> order[j] & 1:
+                adj_bits |= 1 << bit
+            bit += 1
+    return loops_bits, adj_bits
+
+
+def _same_orbit(u, v, gens, n):
+    if not gens:
+        return False
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        w = frontier.pop()
+        for g in gens:
+            img = g[w]
+            if img not in seen:
+                if img == v:
+                    return True
+                seen.add(img)
+                frontier.append(img)
+    return False
+
+
+def canonical_key_unpruned(n, adj, loopmask):
+    """The key as the minimum leaf encoding, with orbit pruning only."""
+    if n == 0:
+        return "0:0:0"
+
+    by_color = {}
+    for v in range(n):
+        key = (loopmask >> v & 1, adj[v].bit_count())
+        by_color.setdefault(key, []).append(v)
+    initial = [by_color[k] for k in sorted(by_color)]
+
+    best = None
+    first = None
+    aut_gens = []
+
+    def visit_leaf(order):
+        nonlocal best, first
+        enc = _encode(order, adj, loopmask)
+        if first is None:
+            first = (order, enc)
+        elif enc == first[1]:
+            # order and first[0] induce the same labeled graph: automorphism
+            perm = [0] * n
+            for pos in range(n):
+                perm[order[pos]] = first[0][pos]
+            if perm not in aut_gens:
+                aut_gens.append(perm)
+        if best is None or enc < best:
+            best = enc
+
+    def search(cells, base):
+        target = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            visit_leaf(tuple(v for cell in cells for v in cell))
+            return
+        cell = cells[target]
+        explored = []
+        for v in cell:
+            applicable = [g for g in aut_gens if all(g[b] == b for b in base)]
+            if any(_same_orbit(v, u, applicable, n) for u in explored):
+                continue
+            explored.append(v)
+            rest = [u for u in cell if u != v]
+            branched = cells[:target] + [[v], rest] + cells[target + 1:]
+            search(_refine(branched, adj), base + (v,))
+
+    search(_refine(initial, adj), ())
+    return f"{n}:{best[0]:x}:{best[1]:x}"
+
+
+def catalog_unpruned(n):
+    """The loopy graphs on n vertices, one per class, as graph JSON, in the
+    catalog's order: vertex augmentation trying every neighbor set, keeping
+    the first-seen child of each key, then sorting by key."""
+    level = {"0:0:0": ((), 0)}
+    for k in range(1, n + 1):
+        nxt = {}
+        new_bit = 1 << (k - 1)
+        for adj, loopmask in level.values():
+            for nbrs in range(1 << (k - 1)):
+                grown = [row | new_bit if nbrs >> i & 1 else row
+                         for i, row in enumerate(adj)]
+                grown.append(nbrs)
+                grown = tuple(grown)
+                for loop in (0, new_bit):
+                    lm = loopmask | loop
+                    key = canonical_key_unpruned(k, grown, lm)
+                    if key not in nxt:
+                        nxt[key] = (grown, lm)
+        level = nxt
+
+    graphs = []
+    for key in sorted(level):
+        adj, loopmask = level[key]
+        if any(adj[v] == 0 and not loopmask >> v & 1 for v in range(n)):
+            continue
+        graphs.append({
+            "vertices": list(range(n)),
+            "edges": [[i, j] for i in range(n) for j in range(i + 1, n)
+                      if adj[i] >> j & 1],
+            "loops": [v for v in range(n) if loopmask >> v & 1]})
+    return graphs

@@ -2,15 +2,20 @@ import json
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wilfgraph import (LoopyGraph, TooLarge, all_loopy_graphs, loopy_complete,
-                       random_loopy_graph)
+from wilfgraph import (LoopyGraph, TooLarge, all_loopy_graphs, build_graph,
+                       iter_semigroups, loopy_complete, random_loopy_graph)
 from wilfgraph.loopy import _canonical_key
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, canonical_key_unpruned, catalog_unpruned
+
+
+def _unpruned_key(G):
+    return canonical_key_unpruned(G.n, G._adj, G._loopmask)
 
 
 def _labeled_graphs(n):
@@ -69,12 +74,14 @@ def test_lk3_relabel_invariance():
 
 def test_canonical_oracle_small():
     # key equality must coincide with brute-force isomorphism on all labeled
-    # loopy graphs with up to 4 vertices
+    # loopy graphs with up to 4 vertices, and every key with the unpruned one
     for n in range(5):
         graphs = _labeled_graphs(n)
         by_key = {}
         for g in graphs:
-            by_key.setdefault(g.canonical_key(), []).append(g)
+            key = g.canonical_key()
+            assert key == _unpruned_key(g)
+            by_key.setdefault(key, []).append(g)
         reps = [gs[0] for gs in by_key.values()]
         # same key: isomorphic to the representative
         for gs in by_key.values():
@@ -139,6 +146,73 @@ def test_catalog_counts_match_labeled_dedup():
         catalog = all_loopy_graphs(n)
         assert {g.canonical_key() for g in catalog} == labeled_classes
         assert len(catalog) == len(labeled_classes)
+
+
+def test_keys_match_unpruned_on_semigroup_graphs():
+    # twin pruning leaves the census keys as they were, genus <= 15
+    count = 0
+    for S in iter_semigroups(15):
+        G = build_graph(S)
+        assert G.canonical_key() == _unpruned_key(G), S
+        count += 1
+    assert count == 6964
+
+
+@st.composite
+def _twin_heavy_graphs(draw):
+    """Disjoint unions of stars, matchings, complete bipartite graphs and
+    cliques on at most 18 vertices, random loops, randomly relabeled."""
+    parts = draw(st.lists(st.tuples(
+        st.sampled_from(("star", "matching", "biclique", "clique")),
+        st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6))
+    n, edges = 0, []
+    for kind, a, b in parts:
+        size = {"star": a + 1, "matching": 2 * a, "biclique": a + b,
+                "clique": a + 1}[kind]
+        if n + size > 18:       # the first part always fits
+            continue
+        if kind == "star":
+            edges += [(n, n + i) for i in range(1, a + 1)]
+        elif kind == "matching":
+            edges += [(n + 2 * i, n + 2 * i + 1) for i in range(a)]
+        elif kind == "biclique":
+            edges += [(n + i, n + a + j) for i in range(a) for j in range(b)]
+        else:
+            edges += [(n + i, n + j) for j in range(size) for i in range(j)]
+        n += size
+    lmask = draw(st.integers(0, (1 << n) - 1))
+    G = LoopyGraph(range(n), edges, [v for v in range(n) if lmask >> v & 1])
+    return G, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_twin_heavy_graphs())
+def test_keys_match_unpruned_on_twin_heavy_graphs(case):
+    G, perm = case
+    key = G.canonical_key()
+    assert key == _unpruned_key(G)
+    assert G.relabeled(dict(zip(G.vertices, perm))).canonical_key() == key
+
+
+def test_keys_match_unpruned_on_regular_graphs():
+    # equal degrees leave one cell that is seldom an orbit, so pruning a
+    # vertex that is no twin of an explored one would show here
+    rng = random.Random(9)
+    for seed in range(60):
+        d, n = rng.choice([(3, 8), (3, 10), (3, 12), (4, 9), (4, 11)])
+        R = nx.random_regular_graph(d, n, seed=seed)
+        G = LoopyGraph(range(n), R.edges(), rng.sample(range(n), seed % 3))
+        key = G.canonical_key()
+        assert key == _unpruned_key(G)
+        perm = rng.sample(range(n), n)
+        assert G.relabeled(dict(zip(G.vertices, perm))).canonical_key() == key
+
+
+def test_catalog_matches_unpruned():
+    # same representatives, labels and order as trying every neighbor set
+    for n in range(6):
+        assert [g.to_json() for g in all_loopy_graphs(n)] == \
+            catalog_unpruned(n)
 
 
 def test_catalog_small_counts():

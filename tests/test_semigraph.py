@@ -84,6 +84,19 @@ def test_classify_rejects_inconsistent_depths(fig_semigroup):
         classify_edges(G, doctored)
 
 
+def test_weight_analysis_rejects_inconsistent_depths(fig_semigroup):
+    # weight_analysis makes the depth-sum check itself, with the message of
+    # classify_edges, when no classify_edges call came first
+    ap = analyze(fig_semigroup)
+    G = build_graph(fig_semigroup)
+    doctored = replace(ap, depth_of={x: 0 for x in ap.depth_of})
+    with pytest.raises(InconsistentDepths) as classified:
+        classify_edges(G, doctored)
+    with pytest.raises(InconsistentDepths) as weighed:
+        weight_analysis(fig_semigroup, G, doctored)
+    assert str(weighed.value) == str(classified.value)
+
+
 def test_weight_analysis_invariant_violation(fig_semigroup):
     # the edge weights of G(S) cover X n D; an emptied X n D cannot match
     ap = analyze(fig_semigroup)
