@@ -63,8 +63,12 @@ def _descend(S, cut):
         S = stack.pop()
         yield S
         if S.genus < cut:
-            stack.extend(_child(S, p) for p in reversed(S.min_generators)
-                         if p > S.frobenius)
+            # the generators above f are a suffix: none equals f
+            f = S.frobenius
+            for p in reversed(S.min_generators):
+                if p < f:
+                    break
+                stack.append(_child(S, p))
 
 
 def iter_semigroups(g_max: int, genus: int | None = None):
@@ -146,20 +150,20 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     cases: dict = {}        # (genus, first four bucket tests) -> count
     for S in nodes:
         g, m, c, gens = S.genus, S.multiplicity, S.conductor, S.min_generators
-        stats = acc[g]
-        stats.count_ng += 1
         n_p = len(gens)
         if n_p * (c - g) < c:           # |L| = c - g
-            stats.wilf_violations.append(gens)
+            acc[g].wilf_violations.append(gens)
         case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
         cases[case] = cases.get(case, 0) + 1
         if classes:
+            stats = acc[g]
             key = _graph_key(S, cache)
             stats.class_keys[key] += 1
             rep = stats.class_representatives.get(key)
             if rep is None or gens < rep:
                 stats.class_representatives[key] = gens
     for (g, *hits), count in cases.items():
+        acc[g].count_ng += count
         hits.append(any(hits))
         for name in compress(BUCKETS, hits):
             acc[g].buckets[name] += count
@@ -218,7 +222,7 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
     cache: dict = {}
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(iter_semigroups(g_max), acc, classes, cache)
+        _tally(_descend(from_generators([1]), g_max), acc, classes, cache)
         return acc
     frontier: list = []
     _tally(_above(split, frontier), acc, classes, cache)

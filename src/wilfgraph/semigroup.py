@@ -10,7 +10,6 @@ mask follows from the rule x >= c  =>  x is a member.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from math import gcd
 
 from .errors import (EmptyGenerators, InvalidTruncation, NonCoprimeGenerators,
@@ -174,9 +173,14 @@ def _add_generators(mask: int, m: int, gens: list[int],
     """
     bits = bin(mask)[:1:-1]     # character x is bit x of mask
     for x in candidates:
-        # a q above x - m leaves x - q a gap below m
-        below = gens[:bisect_right(gens, x - m)]
-        if not any(bits[x - q] == "1" for q in below):
+        top = x - m
+        for q in gens:
+            if q > top:         # and so is every later q: x - q < m is a gap
+                gens.append(x)
+                break
+            if bits[x - q] == "1":
+                break
+        else:
             gens.append(x)
     return gens
 

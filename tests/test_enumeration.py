@@ -6,6 +6,8 @@ from wilfgraph import (BUCKETS, build_graph, census, enumeration,
                        from_generators, iter_semigroups, run_census,
                        sample_semigroups, verify_wilf_range)
 
+from oracles import brute_minimal_generators, sieve_members
+
 # first twenty terms of the genus census; the tree must reproduce them exactly
 NG = [1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
       4806, 8045, 13467, 22464, 37396]
@@ -48,6 +50,28 @@ def test_stream_consistency():
         assert S == T
         assert (S.mask, S.multiplicity, S.conductor, S.genus) == \
             (T.mask, T.multiplicity, T.conductor, T.genus)
+
+
+def test_node_generators_match_oracle():
+    # test_stream_consistency sieves through the same _add_generators as the
+    # child step; the oracles share no package code
+    count = 0
+    for S in iter_semigroups(11):
+        # one past c + m, so that the root's generator 1 = c + m is in range
+        c, horizon = S.conductor, S.conductor + S.multiplicity + 1
+        members = {x for x in range(horizon) if x >= c or S.mask >> x & 1}
+        assert sieve_members(S.min_generators, horizon) == members
+        assert list(S.min_generators) == brute_minimal_generators(members)
+        count += 1
+    assert count == 1 + sum(NG[:11])
+
+
+def test_stream_order_pinned():
+    # the sampler's draws depend on this depth-first order
+    assert [S.min_generators for S in iter_semigroups(4)] == [
+        (1,), (2, 3), (3, 4, 5), (4, 5, 6, 7), (5, 6, 7, 8, 9), (4, 6, 7, 9),
+        (4, 5, 7), (4, 5, 6), (3, 5, 7), (3, 7, 8), (3, 5), (3, 4), (2, 5),
+        (2, 7), (2, 9)]
 
 
 def test_gamma_small():

@@ -208,6 +208,28 @@ def test_keys_match_unpruned_on_regular_graphs():
         assert G.relabeled(dict(zip(G.vertices, perm))).canonical_key() == key
 
 
+def _z4z4(offset, steps):
+    """The Cayley graph of Z4 x Z4 with connection set +-steps, with (i, j)
+    on offset + 4i + j."""
+    return [(offset + 4 * i + j, offset + 4 * ((i + a) % 4) + (j + b) % 4)
+            for i in range(4) for j in range(4) for a, b in steps]
+
+
+def test_keys_match_unpruned_on_shrikhande_and_rook():
+    # both halves are strongly regular (16, 6, 2, 2), so refinement tells
+    # neither the halves apart nor the 9 non-neighbours of a Shrikhande
+    # vertex, which its stabilizer splits into orbits of 3 and 6; pruning
+    # with every discovered automorphism, base fixed or not, joins them and
+    # changes the key on these labelings
+    G = LoopyGraph(range(32), _z4z4(0, [(1, 0), (0, 1), (1, 1)])
+                   + _z4z4(16, [(1, 0), (2, 0), (0, 1), (0, 2)]))
+    key = G.canonical_key()
+    for seed in (4, 5, 6):
+        perm = random.Random(seed).sample(range(32), 32)
+        H = G.relabeled(dict(enumerate(perm)))
+        assert H.canonical_key() == _unpruned_key(H) == key
+
+
 def test_catalog_matches_unpruned():
     # same representatives, labels and order as trying every neighbor set
     for n in range(6):
