@@ -1,15 +1,12 @@
 """Numerical semigroups, their associated loopy graphs, and genus censuses."""
 
-from .apery import (AperyAnalysis, analyze, apery_set, check_addition_rule,
-                    depth, layer_index, report, summand_closure_check,
-                    total_depth, wilf_w)
+from .apery import AperyAnalysis, analyze, apery_set, depth, report, wilf_w
 from .enumeration import (BUCKETS, GENUS_HARD_CAP, GenusCensus, WilfReport,
                           census, iter_semigroups, run_census,
                           sample_semigroups, verify_wilf_range)
 from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
-                     InvalidTruncation, InvariantViolation,
-                     NonCoprimeGenerators, NotAMember,
-                     NotEdgeMaximal, RealizationFailed, TooLarge,
+                     InvalidTruncation, InvariantViolation, NonCoprimeGenerators,
+                     NotAMember, NotEdgeMaximal, RealizationFailed, TooLarge,
                      WilfCounterexample, WilfgraphError, WindowTooSmall)
 from .loopy import (LoopyGraph, all_loopy_graphs, loopy_complete,
                     random_loopy_graph)
@@ -31,20 +28,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AperyAnalysis", "BUCKETS", "EmptyGenerators", "GENUS_HARD_CAP",
     "GenusCensus", "Infeasible", "InconsistentDepths", "InvalidTruncation",
-    "InvariantViolation", "LoopyGraph",
-    "MatchingAnalysis", "NonCoprimeGenerators", "NotAMember",
-    "NotEdgeMaximal", "NumericalSemigroup", "RealizationPlan",
-    "TooLarge", "WeightAnalysis", "WilfCounterexample", "WilfReport",
-    "WilfgraphError", "WindowTooSmall", "active_edges", "all_loopy_graphs",
-    "analyze", "analyze_matchings", "apery_set", "build_graph", "census",
-    "check_addition_rule", "classify_edges", "depth", "edge_maximal_check",
-    "extremal_edge_search", "format_generators", "from_generators",
-    "from_generators_truncated", "invariant_report", "iter_semigroups",
-    "layer_index", "loopy_complete", "normality_number", "parse_generators",
-    "plan_with_offsets", "random_loopy_graph", "realize", "report",
-    "run_census", "sample_semigroups", "sidon_offsets",
-    "structural_lemma_suite", "summand_closure_check", "tau_bound_holds",
-    "tau_lower_bound", "total_depth", "verify_realization",
-    "verify_wilf_range", "vertex_maximal_matching", "vm", "weight_analysis",
-    "wilf_w",
+    "InvariantViolation", "LoopyGraph", "MatchingAnalysis",
+    "NonCoprimeGenerators", "NotAMember", "NotEdgeMaximal",
+    "NumericalSemigroup", "RealizationPlan", "TooLarge", "WeightAnalysis",
+    "WilfCounterexample", "WilfReport", "WilfgraphError", "WindowTooSmall",
+    "active_edges", "all_loopy_graphs", "analyze", "analyze_matchings",
+    "apery_set", "build_graph", "census", "classify_edges", "depth",
+    "edge_maximal_check", "extremal_edge_search", "format_generators",
+    "from_generators", "from_generators_truncated", "invariant_report",
+    "iter_semigroups", "loopy_complete", "normality_number",
+    "parse_generators", "plan_with_offsets", "random_loopy_graph",
+    "realize", "report", "run_census", "sample_semigroups",
+    "sidon_offsets", "structural_lemma_suite", "tau_bound_holds",
+    "tau_lower_bound", "verify_realization", "verify_wilf_range",
+    "vertex_maximal_matching", "vm", "weight_analysis", "wilf_w",
 ]

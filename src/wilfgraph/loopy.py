@@ -245,10 +245,15 @@ def _same_orbit(u, v, gens, n):
     return False
 
 
-def _canonical_key(n, adj, loopmask) -> str:
+def check_vertex_count(n: int) -> None:
+    """Raise TooLarge if canonical labeling does not take n vertices."""
     if n > _MAX_CANONICAL:
         raise TooLarge(f"canonical labeling supports at most {_MAX_CANONICAL} "
                        f"vertices, got {n}")
+
+
+def _canonical_key(n, adj, loopmask) -> str:
+    check_vertex_count(n)
     if n == 0:
         return "0:0:0"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RealizationFailed, WindowTooSmall
-from .loopy import LoopyGraph
+from .loopy import LoopyGraph, check_vertex_count
 from .semigroup import NumericalSemigroup, from_generators_truncated
 from .semigraph import build_graph
 
@@ -107,10 +107,12 @@ def verify_realization(plan: RealizationPlan) -> bool:
 def realize(G: LoopyGraph, min_multiplicity: int = 2) -> RealizationPlan:
     """Smallest-multiplicity realization of G via the greedy Sidon offsets.
 
-    Raises RealizationFailed if the rebuilt graph is not isomorphic to the
-    target (a construction bug, not a mathematical obstruction).
+    Raises TooLarge over the canonical-labeling cap, before building anything,
+    and RealizationFailed if the rebuilt graph is not isomorphic to the target
+    (a construction bug, not a mathematical obstruction).
     """
     n = G.n
+    check_vertex_count(n)
     m = max(min_multiplicity, 2)
     while True:
         try:

@@ -4,9 +4,9 @@ G(S) has the nonzero Apery elements as potential vertices, an edge {x, y}
 (x = y allowed) whenever x + y is again a nonzero Apery element, and keeps
 only vertices meeting an edge. Edge weights x + y map onto the decomposable
 Apery elements; depths classify edges as weak (depth sum q - 1) or normal.
-Every inequality and structural statement provable for such graphs is exposed
-here as a checkable predicate: they hold for every semigroup, so any False is
-a bug detector.
+The provable inequalities and structural statements that a wrong mask, wrong
+generators or a wrong layer can falsify are exposed here as checkable
+predicates: each holds for every semigroup, so any False is a bug detector.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matching
-from .apery import AperyAnalysis, addition_rule, analyze as apery_analyze, \
-    depth_sum_inequality
+from .apery import AperyAnalysis, analyze as apery_analyze
 from .errors import InconsistentDepths, InvariantViolation
 from .loopy import LoopyGraph
 from .semigroup import NumericalSemigroup, apery_mask, bit_positions
@@ -75,9 +74,8 @@ def classify_edges(G: LoopyGraph, apery: AperyAnalysis
 
 @dataclass(frozen=True)
 class WeightAnalysis:
-    """Edge-weight map of G(S), its fibers, and the deficit set X0."""
+    """Fibers of the edge-weight map of G(S), and the deficit set X0."""
 
-    weight_of: dict[tuple, int]
     fibers: dict[int, frozenset]
     x0_set: frozenset
 
@@ -89,14 +87,12 @@ def weight_analysis(S: NumericalSemigroup, G: LoopyGraph,
     X0 collects targets z reachable with depth deficit, i.e. members of some
     decomposition x + y = z with depth(x) + depth(y) = depth(z) + q - 1.
     """
-    weight_of = {}
     fibers: dict[int, set] = {}
     x0, weak_weights = set(), set()
     q, depth_of = apery.depth_q, apery.depth_of
     floor = q - min(apery.rho, 1)
     for a, b in G.all_edges():
         z = a + b
-        weight_of[(a, b)] = z
         fibers.setdefault(z, set()).add((a, b))
         s = depth_of[a] + depth_of[b]
         if s < floor:       # the classify_edges check, on the same edges
@@ -113,8 +109,7 @@ def weight_analysis(S: NumericalSemigroup, G: LoopyGraph,
     if len(weak_weights) > apery.rho:
         raise InvariantViolation(f"weak edges have more than rho = "
                                  f"{apery.rho} weights")
-    return WeightAnalysis(weight_of,
-                          {z: frozenset(es) for z, es in fibers.items()},
+    return WeightAnalysis({z: frozenset(es) for z, es in fibers.items()},
                           frozenset(x0))
 
 
@@ -237,51 +232,39 @@ def structural_lemma_suite(S: NumericalSemigroup,
 
 
 def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
-    """Every depth, weight, matching and structural invariant on one semigroup."""
+    """Depth, matching and structural invariants of one semigroup, by name.
+
+    Raises where apery_analyze, classify_edges or weight_analysis raise.
+    Statements that hold on every input past those raises are not keys:
+    - depth_window, layer_characterizations_agree: v + delta(v)m =
+      c + (v - c) mod m and q - delta(v) = (v + rho) // m for every v;
+    - depth_sum_inequality, addition_rule: delta(a) + delta(b) - delta(a + b)
+      = q + ((a - c) mod m + (b - c) mod m - rho) // m, residues only;
+    - apery_depths_nonnegative: apery_mask keeps X below c + m;
+    - adjacent_weights_distinct: the edge at v of weight z is {v, z - v};
+    - weak_targets_depth_zero: delta(a) + delta(b) = q - 1 gives a + b - c =
+      m - rho + (a - c) mod m + (b - c) mod m > 0, and a + b < c + m;
+    - rho_zero_forces_normal: classify_edges raises below q when rho = 0;
+    - xd_at_most_edges, fiber_identity: the fibers are exactly X n D;
+    - med_iff_empty_graph: |P| = m iff X n D = {} (the m = |P| + |X n D|
+      raise) iff E = {} (the fiber raise) iff G(S) has no vertex.
+    """
     ap = apery_analyze(S)
-    m, c, q, rho = S.multiplicity, S.conductor, ap.depth_q, ap.rho
-    prim = set(S.min_generators)
-    checks: dict[str, bool] = {}
-
-    checks["L_equals_q_plus_tau"] = len(S.small_elements()) == q + ap.tau_x
-    checks["apery_one_per_class"] = (
-        len(ap.apery_x) == m - 1
-        and len({v % m for v in ap.apery_x}) == m - 1)
-    checks["apery_max"] = (not ap.apery_x
-                           or max(ap.apery_x) == c + m - 1)
-    checks["apery_depths_nonnegative"] = all(
-        ap.depth_of[v] >= 0 for v in ap.apery_x)
-
-    window = S.members_below(c + 2 * m)
-    delta = {v: -((v - c) // m) for v in window}
-    checks["depth_window"] = all(
-        c <= v + delta[v] * m < c + m for v in window)
-    checks["layer_characterizations_agree"] = all(
-        q - delta[v] == (v + rho) // m for v in window)
-    checks["depth_sum_inequality"] = depth_sum_inequality(S)
-    checks["addition_rule"] = addition_rule(
-        S, [(i, j) for j in range(1, q + 2) for i in range(j + 1)])
+    m, q = S.multiplicity, ap.depth_q
+    checks = {
+        "L_equals_q_plus_tau": len(S.small_elements()) == q + ap.tau_x,
+        "apery_one_per_class": (len(ap.apery_x) == m - 1
+                                and len({v % m for v in ap.apery_x}) == m - 1),
+        "apery_max": not ap.apery_x or max(ap.apery_x) == S.conductor + m - 1,
+    }
 
     G = build_graph(S)
-    weak, normal = classify_edges(G, ap)
-    wa = weight_analysis(S, G, ap)
+    weak, _ = classify_edges(G, ap)
+    weight_analysis(S, G, ap)       # for its raises
     ma = matching.analyze(G, weak)
-    n, k, nu = G.n, ma.vm, ma.nu
-
-    checks["xd_at_most_edges"] = len(ap.x_decomposable) <= G.edge_count
-    checks["fiber_identity"] = len(ap.x_decomposable) == G.edge_count - sum(
-        len(f) - 1 for f in wa.fibers.values())
-    # each (vertex, weight) incidence once: no vertex meets a weight twice
-    at = [(v, z) for e, z in wa.weight_of.items() for v in set(e)]
-    checks["adjacent_weights_distinct"] = len(set(at)) == len(at)
-    checks["rho_zero_forces_normal"] = rho != 0 or not weak
-    checks["weak_targets_depth_zero"] = all(
-        ap.depth_of[wa.weight_of[e]] == 0 for e in weak)
-
-    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, n, k)
+    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, ma.nu, G.n, ma.vm)
     checks["tau_small_forces_k_le_4"] = (
-        not (ap.tau_x <= 2 * q - 1 and q >= 4) or k <= 4)
-    checks["med_iff_empty_graph"] = (len(prim) == m) == (n == 0)
+        not (ap.tau_x <= 2 * q - 1 and q >= 4) or ma.vm <= 4)
 
     checks.update(structural_lemma_suite(S, G, ap))
     return checks

@@ -84,43 +84,6 @@ def brute_isomorphic(g, h):
     return False
 
 
-def depth_sum_pairwise(S):
-    """delta(a) + delta(b) - delta(a + b) in [q - min(rho, 1), q + 1] for
-    every pair of members a <= b below c + 2m, pair by pair."""
-    m, c = S.multiplicity, S.conductor
-    q = -(-c // m)
-    rho = q * m - c
-    window = S.members_below(c + 2 * m)
-    delta = {v: -((v - c) // m) for v in window}
-    lo = q - min(rho, 1)
-    return all(
-        delta[a] + delta[b] - (-((a + b - c) // m)) in range(lo, q + 2)
-        for i, a in enumerate(window) for b in window[i:])
-
-
-def _layer(S, i, rho):
-    m = S.multiplicity
-    lo, hi = i * m - rho, i * m + m - rho
-    return [v for v in range(max(lo, 0), hi) if S.is_member(v)]
-
-
-def addition_rule_pairwise(S, i, j):
-    """Whether every a in S_i and b in S_j give a + b in layer i + j - 1
-    (only if rho != 0), i + j or i + j + 1, element by element."""
-    m, c = S.multiplicity, S.conductor
-    q = -(-c // m)
-    rho = q * m - c
-    allowed = {i + j, i + j + 1}
-    if rho != 0:
-        allowed.add(i + j - 1)
-    si, sj = _layer(S, i, rho), _layer(S, j, rho)
-    for a in si:
-        for b in sj:
-            if (a + b + rho) // m not in allowed:
-                return False
-    return True
-
-
 # -- canonical labeling and catalog without twin pruning ----------------------
 #
 # The labeling and the augmentation catalog as they were before the search

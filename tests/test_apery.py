@@ -3,16 +3,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import wilfgraph
 from wilfgraph import (InvariantViolation, NotAMember, NumericalSemigroup,
-                       analyze, apery_set, check_addition_rule, depth,
-                       from_generators, iter_semigroups, layer_index, report,
-                       summand_closure_check, total_depth, wilf_w)
-from wilfgraph.apery import addition_rule, depth_sum_inequality
-
-from oracles import addition_rule_pairwise, depth_sum_pairwise
+                       analyze, apery_set, depth, from_generators,
+                       invariant_report, report, wilf_w)
 
 
 def test_apery_two_three():
@@ -53,27 +48,21 @@ def test_depth_window_property(fig_semigroup):
 def test_depth_requires_membership(fig_semigroup):
     with pytest.raises(NotAMember):
         depth(fig_semigroup, 16)
-    with pytest.raises(NotAMember):
-        total_depth(fig_semigroup, [12, 16])
 
 
 def test_layers(fig_semigroup):
+    # layer S_i holds the members of depth q - i
     S = fig_semigroup
-    a = analyze(S)
-    assert layer_index(S, 0) == 0
-    assert layer_index(S, S.multiplicity) == 1
-    assert layer_index(S, S.conductor) == a.depth_q
-    # window characterization agrees with the depth characterization
-    m, rho = S.multiplicity, a.rho
-    for x in S.members_below(S.conductor + 2 * m):
-        assert layer_index(S, x) == (x + rho) // m
+    q = analyze(S).depth_q
+    assert depth(S, 0) == q
+    assert depth(S, S.multiplicity) == q - 1
+    assert depth(S, S.conductor) == 0
 
 
 def test_total_depth():
     S = from_generators([2, 3])
-    assert total_depth(S, []) == 0
     a = analyze(S)
-    assert total_depth(S, a.apery_x) == a.tau_x
+    assert sum(depth(S, x) for x in a.apery_x) == a.tau_x
     # |L n mN| counts the multiples of m below c, one per depth step
     multiples = [x for x in S.small_elements() if x % S.multiplicity == 0]
     assert len(multiples) == a.depth_q
@@ -94,64 +83,10 @@ def test_wilf_formulas():
     assert wilf_w(from_generators([2, 3])) == 0
 
 
-def test_addition_rule_figure(fig_semigroup):
-    a = analyze(fig_semigroup)
-    assert a.rho == 0
-    for j in range(1, a.depth_q + 2):
-        for i in range(j + 1):
-            assert check_addition_rule(fig_semigroup, i, j)
-
-
-def test_addition_rule_exhaustive_small():
-    for S in iter_semigroups(8):
-        q = analyze(S).depth_q
-        for j in range(1, q + 2):
-            for i in range(j + 1):
-                assert check_addition_rule(S, i, j)
-
-
-def _layer_pairs(S):
-    q = -(-S.conductor // S.multiplicity)
-    return [(i, j) for j in range(1, q + 2) for i in range(j + 1)]
-
-
-def test_fast_keys_match_pairwise_oracles():
-    for S in iter_semigroups(14):
-        assert depth_sum_inequality(S) == depth_sum_pairwise(S), S
-        pairs = _layer_pairs(S)
-        assert addition_rule(S, pairs) == all(
-            addition_rule_pairwise(S, i, j) for i, j in pairs), S
-
-
-@st.composite
-def pseudo_semigroups(draw):
-    """A membership mask with 0, no element in (0, m), m when m < c, random
-    elements in (m, c) and all of [c, c + m): not closed under addition."""
-    m = draw(st.integers(2, 9))
-    c = draw(st.integers(m, m + 30))
-    middle = draw(st.integers(0, (1 << max(c - m - 1, 0)) - 1))
-    mask = (1 | (1 << m if c > m else 0) | middle << (m + 1)
-            | ((1 << (c + m)) - (1 << c)))
-    return NumericalSemigroup(mask, m, c, (m,))
-
-
-@settings(max_examples=300, deadline=None)
-@given(pseudo_semigroups())
-def test_fast_keys_match_pairwise_oracles_off_semigroups(S):
-    pairs = _layer_pairs(S)
-    for i, j in pairs:
-        assert check_addition_rule(S, i, j) == addition_rule_pairwise(S, i, j)
-    assert addition_rule(S, pairs) == all(addition_rule_pairwise(S, i, j)
-                                          for i, j in pairs)
-    assert depth_sum_inequality(S) == depth_sum_pairwise(S)
-
-
 def test_summand_closure(fig_semigroup):
     # 28 = 13 + 15 with both parts Apery elements
-    assert summand_closure_check(fig_semigroup)
-    assert summand_closure_check(from_generators([2, 3]))
-    for S in iter_semigroups(8):
-        assert summand_closure_check(S)
+    assert invariant_report(fig_semigroup)["x_is_downset"]
+    assert invariant_report(from_generators([2, 3]))["x_is_downset"]
 
 
 def test_report_fields(fig_semigroup):

@@ -263,6 +263,20 @@ def test_oversized_graph_rejected_before_build(capsys, monkeypatch):
     assert out == ""
 
 
+def test_oversized_realize_exits_1_quickly(capsys, tmp_path):
+    # a 33-vertex path is over the canonical-labeling cap of 32 vertices
+    path = tmp_path / "path33.json"
+    path.write_text(json.dumps({"vertices": list(range(33)),
+                                "edges": [[i, i + 1] for i in range(32)]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "realize", "--graph", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err == ("usage error: canonical labeling supports at most 32 "
+                   "vertices, got 33\n")
+    assert out == ""
+
+
 def test_invariant_violation_graph_exits_2(capsys, monkeypatch):
     def broken(S):
         raise InvariantViolation("depth sum off by one")
@@ -277,11 +291,11 @@ def test_invariant_violation_graph_exits_2(capsys, monkeypatch):
 
 def test_invariant_violation_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(semigraph, "invariant_report",
-                        lambda S: {"fiber_identity": False})
+                        lambda S: {"leaf_structure": False})
     code, out, _ = run(capsys, "verify", "--genus-max", "3")
     assert code == 2
     assert "FAILURE genus 3" in out
-    assert "['fiber_identity']" in out
+    assert "['leaf_structure']" in out
 
 
 def test_invariant_violation_mapping_not_a_member_exits_1(capsys,

@@ -3,8 +3,9 @@ from dataclasses import replace
 import pytest
 
 from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
-                       analyze, analyze_matchings, build_graph, classify_edges,
-                       from_generators, invariant_report, iter_semigroups,
+                       NumericalSemigroup, analyze, analyze_matchings,
+                       build_graph, classify_edges, from_generators,
+                       invariant_report, iter_semigroups, matching, semigraph,
                        structural_lemma_suite, tau_bound_holds,
                        tau_lower_bound, weight_analysis)
 
@@ -78,7 +79,7 @@ def test_classify_rejects_inconsistent_depths(fig_semigroup):
     ap = analyze(fig_semigroup)
     G = build_graph(fig_semigroup)
     doctored = AperyAnalysis(ap.apery_x, {x: 0 for x in ap.depth_of},
-                             ap.depth_q, ap.rho, ap.tau_x, ap.x_primitive,
+                             ap.depth_q, ap.rho, ap.tau_x,
                              ap.x_decomposable, ap.wilf_w)
     with pytest.raises(InconsistentDepths):
         classify_edges(G, doctored)
@@ -147,6 +148,16 @@ def test_unique_loopy_vertex_primitive():
             assert next(iter(G.loops)) in S.primitives()
 
 
+def test_loopy_decomposable_vertex_below_max_length():
+    # 18 = 9 + 9 is a loopy vertex of G(<8, 9, 15, 21, 22>), but 27 is longer
+    # and nonloopy: max_length_nonloopy holds only if it compares lengths
+    S = from_generators([8, 9, 15, 21, 22])
+    G = build_graph(S)
+    assert 18 in G.loops and 18 not in S.primitives()
+    assert 27 in G.vertices and 27 not in G.loops
+    assert invariant_report(S)["max_length_nonloopy"]
+
+
 def test_build_graph_matches_definition():
     # {a, b} (a = b allowed) is an edge iff a + b is a nonzero Apery element
     for S in iter_semigroups(10):
@@ -157,3 +168,81 @@ def test_build_graph_matches_definition():
         assert sorted(G.true_edges) == [(a, b) for a, b in pairs if a != b]
         assert sorted(G.loops) == [a for a, b in pairs if a == b]
         assert set(G.vertices) == {v for e in pairs for v in e}
+
+
+# -- kill table ---------------------------------------------------------------
+#
+# For every key of invariant_report, one input that turns it False through
+# the real invariant_report call. Most are pseudo-semigroups, given as the
+# members below c (all of [c, c + m) is added), m, c and a generator tuple,
+# found by random search among doctored masks that get past the raises of
+# apery_analyze, classify_edges and weight_analysis. Other keys may fail on
+# the same input.
+_DOCTORED = {
+    "apery_max": ([0, 2], 2, 3, (2, 3)),
+    "apery_one_per_class": ([0, 1], 3, 5, (5, 6, 7)),
+    "x_is_downset": ([0, 2, 5, 6], 3, 8, (3, 6, 10)),
+    "v_is_downset": ([0, 6, 7, 9, 12, 13, 15, 18, 19, 20, 21], 6, 24,
+                     (6, 7, 9, 20, 28)),
+    "v_equals_factors_of_xd": ([0, 4, 5, 7, 8, 9], 4, 11, (4, 5, 7)),
+    "neighborhoods_are_downsets": (
+        [0, 8, 10, 11, 12, 16, 18, 19, 20, 22, 23, 24], 8, 26,
+        (8, 10, 11, 12, 29)),
+    "p_exceeds_v_cap_p": ([0, 1, 4, 6, 7], 4, 10, (6, 7)),
+    "factor_degrees_decrease": ([0, 8, 9, 11, 13, 16, 17, 18, 19, 21, 22], 8,
+                                24, (8, 9, 11, 13, 28)),
+    "max_degree_primitive": ([0, 7, 8, 10, 13, 14, 15, 16, 17], 7, 20,
+                             (7, 8, 10, 13, 25)),
+    "equal_degree_antichain": ([0, 8, 9, 11, 13, 16, 17, 18, 19, 21, 22], 8,
+                               24, (8, 9, 11, 13, 28)),
+    "max_length_nonloopy": ([0, 8, 9, 16, 17, 18, 21, 24, 25, 26, 29, 30], 8,
+                            32, (8, 9, 21, 35)),
+    "all_loopy_forces_v_primitive": (
+        [0, 9, 11, 16, 18, 20, 21, 22, 25, 27, 29, 30, 31, 32, 34], 9, 36,
+        (9, 11, 16, 21)),
+    "nonloopy_divides_no_neighbor": ([0, 1, 8, 9, 10], 6, 12,
+                                     (8, 9, 10, 12, 13)),
+    "factor_of_loopy_is_loopy": (
+        [0, 9, 10, 11, 18, 19, 20, 21, 22, 27, 28, 29, 30, 31, 34], 9, 36,
+        (9, 10, 11, 34, 41)),
+    "unique_loopy_is_primitive": (
+        [0, 8, 9, 10, 16, 17, 18, 19, 24, 25, 26, 27, 29], 8, 32,
+        (8, 9, 10, 36)),
+    "v_cap_d_degree_bound": ([0, 9, 10, 12, 15, 17, 18, 19, 20, 21], 9, 24,
+                             (9, 10, 12, 15, 17, 31)),
+    "large_difference_bound": ([0, 8, 9, 11, 16, 17, 19, 20, 22], 8, 24,
+                               (8, 9, 11, 26)),
+    "leaf_structure": ([0, 8, 9, 11, 16, 17, 18, 19, 22], 8, 24,
+                       (8, 9, 11, 28)),
+}
+
+# No pseudo-semigroup searched turned these False. Each is killed on <3, 7>
+# (q = 4, tau = 2, vm = nu = 1) by changing the result of one layer that
+# invariant_report calls.
+_PATCHED = {
+    "L_equals_q_plus_tau": (semigraph, "apery_analyze",
+                            lambda ap: replace(ap, tau_x=ap.tau_x + 1)),
+    "tau_lower_bound": (matching, "analyze",
+                        lambda ma: replace(ma, vm=ma.vm + 2)),
+    "tau_small_forces_k_le_4": (matching, "analyze",
+                                lambda ma: replace(ma, vm=5)),
+}
+
+
+def test_kill_table_covers_every_key(fig_semigroup):
+    assert set(invariant_report(fig_semigroup)) == set(_DOCTORED) | set(_PATCHED)
+
+
+@pytest.mark.parametrize("key", sorted(_DOCTORED) + sorted(_PATCHED))
+def test_kill_table(key, monkeypatch):
+    if key in _DOCTORED:
+        small, m, c, gens = _DOCTORED[key]
+        mask = sum(1 << x for x in small) | ((1 << (c + m)) - (1 << c))
+        S = NumericalSemigroup(mask, m, c, gens)
+    else:
+        S = from_generators([3, 7])
+        assert invariant_report(S)[key]     # False only through the change
+        module, name, change = _PATCHED[key]
+        layer = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: change(layer(*args)))
+    assert not invariant_report(S)[key]
