@@ -2,7 +2,7 @@
 
 from .apery import AperyAnalysis, analyze, apery_set, depth, report, wilf_w
 from .enumeration import (BUCKETS, GENUS_HARD_CAP, GenusCensus, WilfReport,
-                          census, iter_semigroups, run_census,
+                          iter_semigroups, run_census,
                           sample_semigroups, verify_wilf_range)
 from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
                      InvalidTruncation, InvariantViolation, NonCoprimeGenerators,
@@ -10,15 +10,13 @@ from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
                      WilfCounterexample, WilfgraphError, WindowTooSmall)
 from .loopy import (LoopyGraph, all_loopy_graphs, loopy_complete,
                     random_loopy_graph)
-from .matching import (MatchingAnalysis, active_edges, analyze as
-                       analyze_matchings, edge_maximal_check,
-                       extremal_edge_search, normality_number,
-                       vertex_maximal_matching, vm)
+from .matching import (MatchingAnalysis, analyze as analyze_matchings,
+                       edge_maximal_check, extremal_edge_search, vm)
 from .realize import (RealizationPlan, plan_with_offsets, realize,
                       sidon_offsets, verify_realization)
-from .semigraph import (WeightAnalysis, build_graph, classify_edges,
-                        invariant_report, structural_lemma_suite,
-                        tau_bound_holds, tau_lower_bound, weight_analysis)
+from .semigraph import (WeightAnalysis, build_graph, invariant_report,
+                        structural_lemma_suite, tau_bound_holds,
+                        weight_analysis)
 from .semigroup import (NumericalSemigroup, format_generators,
                         from_generators, from_generators_truncated,
                         parse_generators)
@@ -32,14 +30,13 @@ __all__ = [
     "NonCoprimeGenerators", "NotAMember", "NotEdgeMaximal",
     "NumericalSemigroup", "RealizationPlan", "TooLarge", "WeightAnalysis",
     "WilfCounterexample", "WilfReport", "WilfgraphError", "WindowTooSmall",
-    "active_edges", "all_loopy_graphs", "analyze", "analyze_matchings",
-    "apery_set", "build_graph", "census", "classify_edges", "depth",
-    "edge_maximal_check", "extremal_edge_search", "format_generators",
-    "from_generators", "from_generators_truncated", "invariant_report",
-    "iter_semigroups", "loopy_complete", "normality_number",
+    "all_loopy_graphs", "analyze", "analyze_matchings", "apery_set",
+    "build_graph", "depth", "edge_maximal_check", "extremal_edge_search",
+    "format_generators", "from_generators", "from_generators_truncated",
+    "invariant_report", "iter_semigroups", "loopy_complete",
     "parse_generators", "plan_with_offsets", "random_loopy_graph",
     "realize", "report", "run_census", "sample_semigroups",
     "sidon_offsets", "structural_lemma_suite", "tau_bound_holds",
-    "tau_lower_bound", "verify_realization", "verify_wilf_range",
-    "vertex_maximal_matching", "vm", "weight_analysis", "wilf_w",
+    "verify_realization", "verify_wilf_range", "vm", "weight_analysis",
+    "wilf_w",
 ]

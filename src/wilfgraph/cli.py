@@ -120,7 +120,10 @@ def cmd_info(args) -> int:
 
 def _load_graph(path: str) -> LoopyGraph:
     with open(path) as fh:
-        return LoopyGraph.from_json(json.load(fh))
+        try:
+            return LoopyGraph.from_json(json.load(fh))
+        except RecursionError:      # json.load on deeply nested arrays
+            raise ValueError("graph JSON nests too deeply") from None
 
 
 def cmd_graph(args) -> int:
@@ -133,7 +136,7 @@ def cmd_graph(args) -> int:
         # the edge weights of G(S) map onto X n D, so |E| >= |X n D|
         matching.check_edge_count(len(ap.x_decomposable))
         G = semigraph.build_graph(S)
-        weak, _ = semigraph.classify_edges(G, ap)
+        weak = semigraph.weight_analysis(G, ap).weak
     ma = matching.analyze(G, weak)
     summary = {
         "vertices": G.n,

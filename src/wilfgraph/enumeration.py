@@ -71,16 +71,13 @@ def _descend(S, cut):
                 stack.append(_child(S, p))
 
 
-def iter_semigroups(g_max: int, genus: int | None = None):
-    """Depth-first stream of every semigroup of genus <= g_max (or == genus).
+def iter_semigroups(g_max: int):
+    """Depth-first stream of every semigroup of genus <= g_max.
 
     Deterministic order: children are visited by increasing removed generator.
     """
-    if g_max < 0:
-        return
-    for S in _descend(from_generators([1]), g_max):
-        if genus is None or S.genus == genus:
-            yield S
+    if g_max >= 0:
+        yield from _descend(from_generators([1]), g_max)
 
 
 # Known cases of the Wilf inequality that the census tallies, in report
@@ -234,11 +231,6 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
             for g, stats in part.items():
                 acc[g].merge(stats)
     return acc
-
-
-def census(genus: int, workers: int = 1, classes: bool = True) -> GenusCensus:
-    """Census of one genus (runs the tree down to it)."""
-    return run_census(genus, workers=workers, classes=classes)[genus]
 
 
 @dataclass

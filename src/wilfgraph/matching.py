@@ -38,8 +38,6 @@ class MatchingAnalysis:
     nu: int
     weak_edges: frozenset
     active_edges: frozenset
-    active_weak: frozenset
-    active_normal: frozenset
     witness_matching: tuple
 
 
@@ -129,33 +127,19 @@ def _solve(triples, n):
     return best
 
 
-def vertex_maximal_matching(G: LoopyGraph) -> tuple[int, tuple]:
-    """vm(G) together with one witness matching achieving it."""
-    edges, triples = _edge_triples(G, frozenset())
-    touched, _, chosen = _solve(triples, G.n)((1 << G.n) - 1)
-    return touched, tuple(edges[i] for i in sorted(chosen))
-
-
 def vm(G: LoopyGraph) -> int:
-    return vertex_maximal_matching(G)[0]
-
-
-def active_edges(G: LoopyGraph) -> frozenset:
-    """Edges contained in at least one vertex-maximal matching.
-
-    An edge e is active iff deleting its endvertices (with every incident
-    edge) drops vm by exactly the number of vertices e touches.
-    """
-    return analyze(G).active_edges
-
-
-def normality_number(G: LoopyGraph, weak_edges=frozenset()) -> int:
-    """nu(G): most vertices touched by normal edges in a vertex-maximal matching."""
-    return analyze(G, weak_edges).nu
+    """vm(G), the most vertices a matching of G touches."""
+    _, triples = _edge_triples(G, frozenset())
+    return _solve(triples, G.n)((1 << G.n) - 1)[0]
 
 
 def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
-    """Full matching analysis; with no weak edges, nu equals vm."""
+    """Full matching analysis; with no weak edges, nu equals vm.
+
+    An edge e is active, that is in at least one vertex-maximal matching, iff
+    deleting its ends (with every incident edge) drops vm by exactly the
+    number of vertices e touches.
+    """
     weak = frozenset(weak_edges)
     edges, triples = _edge_triples(G, weak)
     best, full = _solve(triples, G.n), (1 << G.n) - 1
@@ -179,8 +163,6 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
         nu=nu,
         weak_edges=weak,
         active_edges=active,
-        active_weak=active & weak,
-        active_normal=active - weak,
         witness_matching=witness,
     )
 

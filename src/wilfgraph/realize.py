@@ -17,27 +17,33 @@ from .semigroup import NumericalSemigroup, from_generators_truncated
 from .semigraph import build_graph
 
 
+def _greedy_sidon(n: int, limit: int | None = None) -> list[int]:
+    """The first n terms (those up to limit) of the greedy Sidon sequence
+    from 0: 0, 1, 3, 7, 12, 20, ..., the Mian-Chowla sequence minus one.
+    Greedy selection commutes with translation, so the greedy sequence inside
+    [lo, hi] is lo plus the terms up to hi - lo."""
+    chosen, sums, x = [], set(), 0
+    while len(chosen) < n and (limit is None or x <= limit):
+        candidate_sums = [x + y for y in chosen] + [2 * x]
+        if sums.isdisjoint(candidate_sums):
+            chosen.append(x)
+            sums.update(candidate_sums)
+        x += 1
+    return chosen
+
+
 def sidon_offsets(n: int, m: int) -> tuple[int, ...]:
     """Greedy Sidon sequence of length n inside [ceil(m/3), (m-1)/2).
 
     Pairwise sums, doubles included, are distinct. Raises WindowTooSmall when
     the window cannot host n such values.
     """
-    lo = -(-m // 3)
-    hi = (m - 2) // 2          # largest x with 2x < m - 1
-    chosen: list[int] = []
-    sums: set[int] = set()
-    for x in range(lo, hi + 1):
-        if len(chosen) == n:
-            break
-        candidate_sums = [x + y for y in chosen] + [2 * x]
-        if all(s not in sums for s in candidate_sums):
-            chosen.append(x)
-            sums.update(candidate_sums)
+    lo, hi = -(-m // 3), (m - 2) // 2      # hi: largest x with 2x < m - 1
+    chosen = _greedy_sidon(n, hi - lo)
     if len(chosen) < n:
         raise WindowTooSmall(
             f"no {n}-term Sidon sequence in [{lo}, {hi}] for m = {m}")
-    return tuple(chosen)
+    return tuple(lo + x for x in chosen)
 
 
 @dataclass(frozen=True)
@@ -114,12 +120,13 @@ def realize(G: LoopyGraph, min_multiplicity: int = 2) -> RealizationPlan:
     n = G.n
     check_vertex_count(n)
     m = max(min_multiplicity, 2)
-    while True:
-        try:
-            offsets = sidon_offsets(n, m)
-            break
-        except WindowTooSmall:
+    if n:
+        # m fits iff ceil(m/3) + a_{n-1} <= (m - 2) // 2; that window is not
+        # monotone in m (width 0 at m = 6, -1 at m = 7), so scan, not bisect
+        top = _greedy_sidon(n)[-1]
+        while -(-m // 3) + top > (m - 2) // 2:
             m += 1
+    offsets = sidon_offsets(n, m)
     plan = plan_with_offsets(G, m, offsets)
     if not verify_realization(plan):
         raise RealizationFailed(

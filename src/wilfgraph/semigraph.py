@@ -12,7 +12,6 @@ predicates: each holds for every semigroup, so any False is a bug detector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import matching
 from .apery import AperyAnalysis, analyze as apery_analyze
@@ -52,74 +51,52 @@ def build_graph(S: NumericalSemigroup) -> LoopyGraph:
     return LoopyGraph(rows, edges, loops)
 
 
-def classify_edges(G: LoopyGraph, apery: AperyAnalysis
-                   ) -> tuple[frozenset, frozenset]:
-    """Split E into weak (depth sum q - 1) and normal (depth sum >= q) edges.
-
-    Raises InconsistentDepths if any edge has depth sum below q - min(rho, 1),
-    which no associated graph can exhibit.
-    """
-    q, rho, depth_of = apery.depth_q, apery.rho, apery.depth_of
-    floor = q - min(rho, 1)
-    weak = set()
-    normal = set()
-    for a, b in G.all_edges():
-        s = depth_of[a] + depth_of[b]
-        if s < floor:
-            raise InconsistentDepths(
-                f"edge ({a}, {b}) has depth sum {s} < {floor}")
-        (weak if s == q - 1 else normal).add((a, b))
-    return frozenset(weak), frozenset(normal)
-
-
 @dataclass(frozen=True)
 class WeightAnalysis:
-    """Fibers of the edge-weight map of G(S), and the deficit set X0."""
+    """Fibers of the edge-weight map of G(S), the deficit set X0, and the
+    weak edges (depth sum q - 1); every other edge is normal."""
 
     fibers: dict[int, frozenset]
     x0_set: frozenset
+    weak: frozenset
 
 
-def weight_analysis(S: NumericalSemigroup, G: LoopyGraph,
-                    apery: AperyAnalysis) -> WeightAnalysis:
+def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
     """Weights wt({x, y}) = x + y with fibers over the decomposable Apery set.
 
     X0 collects targets z reachable with depth deficit, i.e. members of some
     decomposition x + y = z with depth(x) + depth(y) = depth(z) + q - 1.
+    Raises InconsistentDepths if any edge has depth sum below q - min(rho, 1),
+    which no associated graph can exhibit.
     """
     fibers: dict[int, set] = {}
-    x0, weak_weights = set(), set()
+    x0, weak = set(), set()
     q, depth_of = apery.depth_q, apery.depth_of
     floor = q - min(apery.rho, 1)
     for a, b in G.all_edges():
         z = a + b
         fibers.setdefault(z, set()).add((a, b))
         s = depth_of[a] + depth_of[b]
-        if s < floor:       # the classify_edges check, on the same edges
+        if s < floor:
             raise InconsistentDepths(
                 f"edge ({a}, {b}) has depth sum {s} < {floor}")
         if s == q - 1:
-            weak_weights.add(z)
+            weak.add((a, b))
         if s == depth_of[z] + q - 1:
             x0.add(z)
     if set(fibers) != apery.x_decomposable:
         raise InvariantViolation("edge weights do not map onto X n D")
     if len(x0) > apery.rho:
         raise InvariantViolation(f"|X0| = {len(x0)} exceeds rho = {apery.rho}")
-    if len(weak_weights) > apery.rho:
+    if len({a + b for a, b in weak}) > apery.rho:
         raise InvariantViolation(f"weak edges have more than rho = "
                                  f"{apery.rho} weights")
     return WeightAnalysis({z: frozenset(es) for z, es in fibers.items()},
-                          frozenset(x0))
-
-
-def tau_lower_bound(q: int, nu: int, n: int, k: int) -> Fraction:
-    """Matching-side lower bound on tau(X): (k(q-1) + nu)/2 + (n - k)."""
-    return Fraction(k * (q - 1) + nu, 2) + (n - k)
+                          frozenset(x0), frozenset(weak))
 
 
 def tau_bound_holds(tau_x: int, q: int, nu: int, n: int, k: int) -> bool:
-    """Exact integer comparison of tau(X) against the lower bound."""
+    """tau(X) >= (k(q - 1) + nu)/2 + (n - k), compared in integers."""
     return 2 * tau_x >= k * (q - 1) + nu + 2 * (n - k)
 
 
@@ -140,17 +117,13 @@ def _lengths(S: NumericalSemigroup, top: int) -> dict[int, int]:
     return out
 
 
-def structural_lemma_suite(S: NumericalSemigroup,
-                           G: LoopyGraph | None = None,
-                           apery: AperyAnalysis | None = None
-                           ) -> dict[str, bool]:
+def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
+                           apery: AperyAnalysis) -> dict[str, bool]:
     """Instantiate every provable vertex/degree/factor statement on G(S).
 
     All entries are True for every numerical semigroup; a False exposes an
     implementation bug, not a mathematical discovery.
     """
-    apery = apery or apery_analyze(S)
-    G = G if G is not None else build_graph(S)
     x = apery.apery_x
     xset = set(x)
     xd = apery.x_decomposable
@@ -193,8 +166,7 @@ def structural_lemma_suite(S: NumericalSemigroup,
     checks["max_length_nonloopy"] = all(
         u not in G.loops for u in v_d if lengths[u] == longest)
 
-    checks["all_loopy_forces_v_primitive"] = (
-        not v_all or set(G.loops) != v_all or not v_d)
+    checks["all_loopy_forces_v_primitive"] = set(G.loops) != v_all or not v_d
 
     # a nonloopy vertex never properly divides a neighbor (z - y in S* fails)
     checks["nonloopy_divides_no_neighbor"] = all(
@@ -234,8 +206,9 @@ def structural_lemma_suite(S: NumericalSemigroup,
 def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     """Depth, matching and structural invariants of one semigroup, by name.
 
-    Raises where apery_analyze, classify_edges or weight_analysis raise.
-    Statements that hold on every input past those raises are not keys:
+    Raises where apery_analyze, weight_analysis or matching.analyze raise.
+    Statements that hold on every input past those raises, or that another
+    key implies, are not keys:
     - depth_window, layer_characterizations_agree: v + delta(v)m =
       c + (v - c) mod m and q - delta(v) = (v + rho) // m for every v;
     - depth_sum_inequality, addition_rule: delta(a) + delta(b) - delta(a + b)
@@ -244,27 +217,29 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     - adjacent_weights_distinct: the edge at v of weight z is {v, z - v};
     - weak_targets_depth_zero: delta(a) + delta(b) = q - 1 gives a + b - c =
       m - rho + (a - c) mod m + (b - c) mod m > 0, and a + b < c + m;
-    - rho_zero_forces_normal: classify_edges raises below q when rho = 0;
+    - rho_zero_forces_normal: weight_analysis raises below q when rho = 0;
     - xd_at_most_edges, fiber_identity: the fibers are exactly X n D;
     - med_iff_empty_graph: |P| = m iff X n D = {} (the m = |P| + |X n D|
-      raise) iff E = {} (the fiber raise) iff G(S) has no vertex.
+      raise) iff E = {} (the fiber raise) iff G(S) has no vertex;
+    - L_equals_q_plus_tau: with |X n D| = m - |P| and c = qm - rho, the W(S)
+      raise reads |P|(q + tau) = |P||L| for a generator tuple without
+      repeats, and |P| >= 1: with P empty, X n D = X, whose minimum is no
+      edge weight (the fiber raise);
+    - tau_small_forces_k_le_4: the tau_lower_bound key and the raises
+      nu >= 0, n >= k give 2 tau >= k(q - 1), so k >= 5 and q >= 4 give
+      tau >= 5(q - 1)/2 > 2q - 1.
     """
     ap = apery_analyze(S)
     m, q = S.multiplicity, ap.depth_q
     checks = {
-        "L_equals_q_plus_tau": len(S.small_elements()) == q + ap.tau_x,
         "apery_one_per_class": (len(ap.apery_x) == m - 1
                                 and len({v % m for v in ap.apery_x}) == m - 1),
         "apery_max": not ap.apery_x or max(ap.apery_x) == S.conductor + m - 1,
     }
 
     G = build_graph(S)
-    weak, _ = classify_edges(G, ap)
-    weight_analysis(S, G, ap)       # for its raises
-    ma = matching.analyze(G, weak)
+    ma = matching.analyze(G, weight_analysis(G, ap).weak)
     checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, ma.nu, G.n, ma.vm)
-    checks["tau_small_forces_k_le_4"] = (
-        not (ap.tau_x <= 2 * q - 1 and q >= 4) or ma.vm <= 4)
 
     checks.update(structural_lemma_suite(S, G, ap))
     return checks

@@ -234,3 +234,33 @@ def catalog_unpruned(n):
                       if adj[i] >> j & 1],
             "loops": [v for v in range(n) if loopmask >> v & 1]})
     return graphs
+
+
+# -- realization multiplicity -------------------------------------------------
+#
+# The greedy Sidon search as it was before it was computed once from 0 and
+# translated: a fresh greedy pass over each window [ceil(m/3), (m - 2) // 2],
+# and every m tried in turn.
+
+
+def sidon_offsets_per_m(n, m):
+    """The greedy Sidon sequence of length n inside the window of m, or None
+    when the window is too small."""
+    lo, hi = -(-m // 3), (m - 2) // 2
+    chosen, sums = [], set()
+    for x in range(lo, hi + 1):
+        if len(chosen) == n:
+            break
+        candidate_sums = [x + y for y in chosen] + [2 * x]
+        if all(s not in sums for s in candidate_sums):
+            chosen.append(x)
+            sums.update(candidate_sums)
+    return tuple(chosen) if len(chosen) == n else None
+
+
+def smallest_multiplicity_per_m(n, min_multiplicity):
+    """The first m >= max(min_multiplicity, 2) whose window hosts n offsets."""
+    m = max(min_multiplicity, 2)
+    while sidon_offsets_per_m(n, m) is None:
+        m += 1
+    return m

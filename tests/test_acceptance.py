@@ -9,11 +9,11 @@ import random
 import pytest
 
 from wilfgraph import (LoopyGraph, all_loopy_graphs, analyze, analyze_matchings,
-                       build_graph, classify_edges, from_generators,
+                       build_graph, extremal_edge_search, from_generators,
                        invariant_report, iter_semigroups, loopy_complete,
                        plan_with_offsets, random_loopy_graph, realize,
                        run_census, sample_semigroups, verify_realization,
-                       extremal_edge_search)
+                       weight_analysis)
 from wilfgraph.cli import main
 
 from oracles import brute_matching_stats
@@ -128,8 +128,7 @@ def test_criterion_8_figure_regression():
     assert G.edge_count == 10
     assert sorted(G.loops) == [14, 15, 17]
     assert ap.rho == 0
-    weak, _ = classify_edges(G, ap)
-    assert weak == frozenset()
+    assert weight_analysis(G, ap).weak == frozenset()
     print("PASS criterion 8: figure regression (X, loops, 7 vertices, 10 "
           "edges, rho = 0, no weak edges)")
 

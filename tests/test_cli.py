@@ -1,6 +1,9 @@
 import json
 import time
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from wilfgraph import apery, enumeration, semigraph
 from wilfgraph.cli import main
 from wilfgraph.errors import InvariantViolation, NotAMember
@@ -241,6 +244,17 @@ def test_malformed_graph_json_exits_1(capsys, tmp_path):
             assert out == ""
 
 
+def test_deeply_nested_graph_json_exits_1(capsys, tmp_path):
+    # json.load raises RecursionError, not ValueError, past its nesting limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("graph", "realize"):
+        code, out, err = run(capsys, command, "--graph", str(path))
+        assert code == 1, command
+        assert err == "usage error: graph JSON nests too deeply\n"
+        assert out == ""
+
+
 def test_oversized_matching_exits_1_quickly(capsys):
     # G(<700, 701>) has 698 vertices and 122,150 edges, over the matching cap
     start = time.perf_counter()
@@ -327,3 +341,80 @@ def test_oversized_sieve_exits_1_quickly(capsys):
         assert code == 1
         assert "limit" in err
         assert out == ""
+
+
+# -- fuzzed argv --------------------------------------------------------------
+
+_FORMATS = {"info": ["table", "json"], "graph": ["table", "dot", "json"],
+            "enumerate": ["table", "csv", "json"], "verify": ["table", "json"],
+            "realize": ["table", "json"], "extremal": ["table", "dot"]}
+
+_gens_text = st.one_of(
+    st.text(alphabet="0123456789,|t= -x", max_size=8),
+    st.builds(lambda gens, t: ",".join(map(str, gens))
+              + ("" if t is None else f"|t={t}"),
+              st.lists(st.integers(-1, 40), max_size=5),
+              st.none() | st.integers(-5, 200)))
+
+# small graphs, possibly malformed: unknown ends, self-pairs, stray loops
+_graph_json = st.one_of(
+    st.builds(lambda n, edges, loops: json.dumps(
+        {"vertices": list(range(n)), "edges": edges, "loops": loops}),
+        st.integers(0, 5),
+        st.lists(st.lists(st.integers(-1, 5), min_size=2, max_size=2),
+                 max_size=8),
+        st.lists(st.integers(-1, 5), max_size=3)),
+    st.text(max_size=12),
+    st.sampled_from(['{"vertices": 3}', '{"vertices": [[0]]}', "[]",
+                     '{"vertices": [0, "a"], "edges": [[0, "a"]]}',
+                     "[" * 100_000]))
+
+
+@st.composite
+def _argv(draw):
+    """(argv with GRAPH and OUT placeholders, graph file text)."""
+    command = draw(st.sampled_from(sorted(_FORMATS)))
+    argv = [command]
+    if command in ("info", "graph"):
+        if command == "info" or draw(st.booleans()):
+            argv += ["--gens", draw(_gens_text)]
+        else:
+            argv += ["--graph", "GRAPH"]
+    elif command in ("enumerate", "verify"):
+        argv += ["--genus-max", str(draw(st.integers(-2, 12))),
+                 "--workers", str(draw(st.integers(-1, 2)))]
+        if command == "enumerate" and draw(st.booleans()):
+            argv.append("--classes")
+    elif command == "realize":
+        argv += ["--graph", "GRAPH"]
+    else:
+        argv += ["--n", str(draw(st.integers(-1, 5))),
+                 "--k", str(draw(st.integers(-1, 6)))]
+        if draw(st.booleans()):
+            argv += ["--lambda", str(draw(st.integers(-1, 5)))]
+    argv += ["--format", draw(st.sampled_from(_FORMATS[command] + ["xml"]))]
+    if draw(st.booleans()):
+        argv += ["--out", "OUT"]
+    return argv, draw(_graph_json)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argv(), out=st.sampled_from(["file", "dir", "missing"]))
+def test_fuzzed_argv_exits_with_a_code(case, out, capsys, tmp_path):
+    # every input works or exits 1, 2 or 3 with a message, never a traceback
+    # and never a long run
+    argv, graph_text = case
+    graph = tmp_path / "graph.json"
+    graph.write_text(graph_text)
+    out_path = {"file": tmp_path / "out.txt", "dir": tmp_path,
+                "missing": tmp_path / "missing" / "out.txt"}[out]
+    argv = [str(graph) if a == "GRAPH" else str(out_path) if a == "OUT"
+            else a for a in argv]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 10, argv
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), (argv, err)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
-                       NotEdgeMaximal, TooLarge, active_edges,
-                       all_loopy_graphs, analyze_matchings, edge_maximal_check,
-                       extremal_edge_search, loopy_complete, normality_number,
-                       random_loopy_graph, vertex_maximal_matching, vm)
+                       NotEdgeMaximal, TooLarge, all_loopy_graphs,
+                       analyze_matchings, edge_maximal_check,
+                       extremal_edge_search, loopy_complete,
+                       random_loopy_graph, vm)
 from wilfgraph.matching import (_BB_EDGE_LIMIT, _MAX_EDGES, _edge_triples,
                                 _solve_bb, _solve_blossom)
 
@@ -22,8 +22,9 @@ def test_vm_basics():
 
 def test_witness_is_matching():
     G = loopy_complete(4)
-    k, witness = vertex_maximal_matching(G)
-    assert k == 4
+    ma = analyze_matchings(G)
+    witness = ma.witness_matching
+    assert ma.vm == vm(G) == 4
     used = [v for e in witness for v in set(e)]
     assert len(used) == len(set(used))
     assert G.loops <= {v for e in witness for v in e}
@@ -32,7 +33,7 @@ def test_witness_is_matching():
 def test_active_edges_lk3():
     # every edge of the loopy triangle lies in some vertex-maximal matching
     lk3 = loopy_complete(3)
-    assert active_edges(lk3) == frozenset(lk3.all_edges())
+    assert analyze_matchings(lk3).active_edges == frozenset(lk3.all_edges())
 
 
 def test_active_edges_star_with_far_loop():
@@ -41,20 +42,20 @@ def test_active_edges_star_with_far_loop():
     G = LoopyGraph(range(5), [(1, 2), (1, 3), (1, 4)], [0])
     assert vm(G) == 3
     k, nu, act = brute_matching_stats(G)
-    assert active_edges(G) == frozenset(act)
+    assert analyze_matchings(G).active_edges == frozenset(act)
 
 
 def test_normality_extremes():
     G = loopy_complete(3)
-    assert normality_number(G, frozenset()) == vm(G)
-    assert normality_number(G, frozenset(G.all_edges())) == 0
+    assert analyze_matchings(G, frozenset()).nu == vm(G)
+    assert analyze_matchings(G, frozenset(G.all_edges())).nu == 0
 
 
 def test_empty_graph_analysis():
     G = LoopyGraph([])
     assert vm(G) == 0
-    assert active_edges(G) == frozenset()
     ma = analyze_matchings(G)
+    assert ma.active_edges == frozenset()
     assert (ma.vm, ma.nu, ma.witness_matching) == (0, 0, ())
 
 
@@ -66,8 +67,6 @@ def test_mixed_weak_normal_instance():
     ma = analyze_matchings(G, weak)
     assert (ma.vm, ma.nu) == (k, nu)
     assert ma.active_edges == frozenset(act)
-    assert ma.active_weak == frozenset(act) & weak
-    assert ma.active_normal == frozenset(act) - weak
 
 
 def test_oracle_equivalence_catalogs():
@@ -177,7 +176,7 @@ def test_analyze_builds_one_solver(monkeypatch):
     G = loopy_complete(3)
     ma = analyze_matchings(G)
     assert len(builds) == 1
-    assert ma.active_edges == active_edges(G) == brute_matching_stats(G)[2]
+    assert ma.active_edges == brute_matching_stats(G)[2]
 
 
 def test_matching_analyze_invariant_violation(monkeypatch):
@@ -194,6 +193,6 @@ def test_edge_cap():
     edges, triples = _edge_triples(loops, frozenset())
     assert len(edges) == len(triples) == _MAX_EDGES
     over = loops.with_edge(0, 1)
-    for solve in (vm, active_edges, normality_number, analyze_matchings):
+    for solve in (vm, analyze_matchings):
         with pytest.raises(TooLarge):
             solve(over)

@@ -1,11 +1,14 @@
 import random
+import time
 
 import pytest
 
 from wilfgraph import (LoopyGraph, WindowTooSmall, all_loopy_graphs,
-                       build_graph, from_generators_truncated, loopy_complete,
-                       plan_with_offsets, random_loopy_graph, realize,
-                       sidon_offsets, verify_realization)
+                       build_graph, from_generators, from_generators_truncated,
+                       loopy_complete, plan_with_offsets, random_loopy_graph,
+                       realize, run_census, sidon_offsets, verify_realization)
+
+from oracles import sidon_offsets_per_m, smallest_multiplicity_per_m
 
 
 def test_sidon_offsets_window():
@@ -19,6 +22,38 @@ def test_sidon_offsets_window():
 def test_sidon_offsets_failure():
     with pytest.raises(WindowTooSmall):
         sidon_offsets(3, 12)
+
+
+def test_sidon_offsets_match_per_m_search():
+    # one greedy sequence from 0, translated into each window
+    for n in range(12):
+        for m in range(400):
+            try:
+                got = sidon_offsets(n, m)
+            except WindowTooSmall:
+                got = None
+            assert got == sidon_offsets_per_m(n, m), (n, m)
+
+
+def test_realize_multiplicity_matches_per_m_search():
+    # the window width is 0 at m = 6 and -1 at m = 7: n = 1 fits at 6, not 7
+    assert realize(loopy_complete(1), 7).multiplicity == 8
+    for n in range(12):
+        for low in (0, 2, 6, 7, 50, 1000):
+            plan = realize(loopy_complete(n), low)
+            assert (plan.multiplicity
+                    == smallest_multiplicity_per_m(n, low)), (n, low)
+
+
+def test_realize_path_at_labeling_cap():
+    # the largest graph the labeling cap allows: one Sidon pass, not one per m
+    G = LoopyGraph(range(32), [(i, i + 1) for i in range(31)])
+    start = time.perf_counter()
+    plan = realize(G)
+    assert time.perf_counter() - start < 5
+    assert plan.multiplicity == 9138
+    assert plan.offsets == sidon_offsets_per_m(32, 9138)
+    assert plan.certificate()["verified"]
 
 
 def test_sidon_powers_of_two_pattern():
@@ -61,8 +96,7 @@ def test_realize_random_five_six():
 
 def test_realize_genus_seven_classes():
     # the eleven graph-equivalence classes at genus 7 all realize and rebuild
-    from wilfgraph import build_graph, census, from_generators
-    stats = census(7)
+    stats = run_census(7, classes=True)[7]
     assert stats.class_count_gamma == 11
     for key, gens in stats.class_representatives.items():
         G = build_graph(from_generators(gens))

@@ -4,10 +4,9 @@ import pytest
 
 from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
                        NumericalSemigroup, analyze, analyze_matchings,
-                       build_graph, classify_edges, from_generators,
-                       invariant_report, iter_semigroups, matching, semigraph,
-                       structural_lemma_suite, tau_bound_holds,
-                       tau_lower_bound, weight_analysis)
+                       build_graph, from_generators, invariant_report,
+                       iter_semigroups, matching, structural_lemma_suite,
+                       tau_bound_holds, weight_analysis)
 
 
 def test_figure_graph(fig_semigroup):
@@ -21,7 +20,7 @@ def test_figure_graph(fig_semigroup):
 def test_figure_weights(fig_semigroup):
     ap = analyze(fig_semigroup)
     G = build_graph(fig_semigroup)
-    wa = weight_analysis(fig_semigroup, G, ap)
+    wa = weight_analysis(G, ap)
     assert {z: len(es) for z, es in wa.fibers.items()} == \
         {28: 2, 30: 2, 34: 4, 35: 2}
     assert sum(len(es) for es in wa.fibers.values()) == G.edge_count
@@ -32,9 +31,7 @@ def test_figure_weights(fig_semigroup):
 def test_figure_all_normal(fig_semigroup):
     ap = analyze(fig_semigroup)
     G = build_graph(fig_semigroup)
-    weak, normal = classify_edges(G, ap)
-    assert weak == frozenset()
-    assert normal == frozenset(G.all_edges())
+    assert weight_analysis(G, ap).weak == frozenset()
 
 
 def test_empty_graphs():
@@ -52,7 +49,7 @@ def test_weak_edges_instance():
     ap = analyze(S)
     assert (ap.depth_q, ap.rho) == (3, 4)
     G = build_graph(S)
-    weak, normal = classify_edges(G, ap)
+    weak = weight_analysis(G, ap).weak
     assert weak == frozenset({(12, 15), (13, 14)})
     for a, b in weak:
         assert ap.depth_of[a] + ap.depth_of[b] == ap.depth_q - 1
@@ -67,35 +64,24 @@ def test_all_weak_instance():
     S = from_generators([9, 11, 12, 13, 14, 15, 16, 17])
     ap = analyze(S)
     G = build_graph(S)
-    weak, normal = classify_edges(G, ap)
-    assert normal == frozenset()
+    weak = weight_analysis(G, ap).weak
+    assert weak == frozenset(G.all_edges())
     ma = analyze_matchings(G, weak)
     assert ma.nu == 0
     # rho bounds the number of distinct weak-edge weights
     assert ap.rho >= len({a + b for a, b in weak})
 
 
-def test_classify_rejects_inconsistent_depths(fig_semigroup):
+def test_weight_analysis_rejects_inconsistent_depths(fig_semigroup):
+    # rho = 0, so every edge needs depth sum >= q = 2; the first edge fails
     ap = analyze(fig_semigroup)
     G = build_graph(fig_semigroup)
     doctored = AperyAnalysis(ap.apery_x, {x: 0 for x in ap.depth_of},
                              ap.depth_q, ap.rho, ap.tau_x,
                              ap.x_decomposable, ap.wilf_w)
-    with pytest.raises(InconsistentDepths):
-        classify_edges(G, doctored)
-
-
-def test_weight_analysis_rejects_inconsistent_depths(fig_semigroup):
-    # weight_analysis makes the depth-sum check itself, with the message of
-    # classify_edges, when no classify_edges call came first
-    ap = analyze(fig_semigroup)
-    G = build_graph(fig_semigroup)
-    doctored = replace(ap, depth_of={x: 0 for x in ap.depth_of})
-    with pytest.raises(InconsistentDepths) as classified:
-        classify_edges(G, doctored)
-    with pytest.raises(InconsistentDepths) as weighed:
-        weight_analysis(fig_semigroup, G, doctored)
-    assert str(weighed.value) == str(classified.value)
+    with pytest.raises(InconsistentDepths) as raised:
+        weight_analysis(G, doctored)
+    assert str(raised.value) == "edge (13, 15) has depth sum 0 < 2"
 
 
 def test_weight_analysis_invariant_violation(fig_semigroup):
@@ -104,13 +90,12 @@ def test_weight_analysis_invariant_violation(fig_semigroup):
     G = build_graph(fig_semigroup)
     doctored = replace(ap, x_decomposable=frozenset())
     with pytest.raises(InvariantViolation):
-        weight_analysis(fig_semigroup, G, doctored)
+        weight_analysis(G, doctored)
 
 
 def test_tau_bound():
-    from fractions import Fraction
-    assert tau_lower_bound(3, 0, 0, 0) == 0
-    assert tau_lower_bound(4, 2, 5, 3) == Fraction(15, 2)  # (3*3 + 2)/2 + 2
+    # (3*3 + 2)/2 + (5 - 3) = 7.5
+    assert tau_bound_holds(0, 3, 0, 0, 0)
     assert tau_bound_holds(8, 4, 2, 5, 3)
     assert not tau_bound_holds(7, 4, 2, 5, 3)
 
@@ -118,13 +103,13 @@ def test_tau_bound():
 def test_tau_bound_figure(fig_semigroup):
     ap = analyze(fig_semigroup)
     G = build_graph(fig_semigroup)
-    weak, _ = classify_edges(G, ap)
-    ma = analyze_matchings(G, weak)
+    ma = analyze_matchings(G, weight_analysis(G, ap).weak)
     assert tau_bound_holds(ap.tau_x, ap.depth_q, ma.nu, G.n, ma.vm)
 
 
 def test_structural_suite_figure(fig_semigroup):
-    suite = structural_lemma_suite(fig_semigroup)
+    suite = structural_lemma_suite(fig_semigroup, build_graph(fig_semigroup),
+                                   analyze(fig_semigroup))
     assert all(suite.values()), suite
     # N(15) = {13, 15, 19, 20}, the unique maximal degree; 15 is primitive
     G = build_graph(fig_semigroup)
@@ -176,7 +161,7 @@ def test_build_graph_matches_definition():
 # the real invariant_report call. Most are pseudo-semigroups, given as the
 # members below c (all of [c, c + m) is added), m, c and a generator tuple,
 # found by random search among doctored masks that get past the raises of
-# apery_analyze, classify_edges and weight_analysis. Other keys may fail on
+# apery_analyze, weight_analysis and matching.analyze. Other keys may fail on
 # the same input.
 _DOCTORED = {
     "apery_max": ([0, 2], 2, 3, (2, 3)),
@@ -216,21 +201,18 @@ _DOCTORED = {
                        (8, 9, 11, 28)),
 }
 
-# No pseudo-semigroup searched turned these False. Each is killed on <3, 7>
-# (q = 4, tau = 2, vm = nu = 1) by changing the result of one layer that
-# invariant_report calls.
+# No pseudo-semigroup searched turned this False. It is killed on <3, 7>
+# (q = 4, tau = 2, vm = nu = 1) by changing the result of the matching layer.
 _PATCHED = {
-    "L_equals_q_plus_tau": (semigraph, "apery_analyze",
-                            lambda ap: replace(ap, tau_x=ap.tau_x + 1)),
     "tau_lower_bound": (matching, "analyze",
                         lambda ma: replace(ma, vm=ma.vm + 2)),
-    "tau_small_forces_k_le_4": (matching, "analyze",
-                                lambda ma: replace(ma, vm=5)),
 }
 
 
 def test_kill_table_covers_every_key(fig_semigroup):
-    assert set(invariant_report(fig_semigroup)) == set(_DOCTORED) | set(_PATCHED)
+    keys = set(invariant_report(fig_semigroup))
+    assert len(keys) == 19
+    assert keys == set(_DOCTORED) | set(_PATCHED)
 
 
 @pytest.mark.parametrize("key", sorted(_DOCTORED) + sorted(_PATCHED))
