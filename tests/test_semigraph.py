@@ -72,6 +72,17 @@ def test_all_weak_instance():
     assert ap.rho >= len({a + b for a, b in weak})
 
 
+def test_classify_rejects_inconsistent_depths(fig_semigroup):
+    # the edge classification inside weight_analysis checks every edge, not
+    # only the first: zeroing the depth of 19 breaks only (15, 19), sum 1 < 2
+    ap = analyze(fig_semigroup)
+    G = build_graph(fig_semigroup)
+    doctored = replace(ap, depth_of={**ap.depth_of, 19: 0})
+    with pytest.raises(InconsistentDepths) as raised:
+        weight_analysis(G, doctored)
+    assert str(raised.value) == "edge (15, 19) has depth sum 1 < 2"
+
+
 def test_weight_analysis_rejects_inconsistent_depths(fig_semigroup):
     # rho = 0, so every edge needs depth sum >= q = 2; the first edge fails
     ap = analyze(fig_semigroup)
