@@ -2,8 +2,7 @@
 
 from .apery import AperyAnalysis, analyze, apery_set, depth, report, wilf_w
 from .enumeration import (BUCKETS, GENUS_HARD_CAP, GenusCensus, WilfReport,
-                          iter_semigroups, run_census,
-                          sample_semigroups, verify_wilf_range)
+                          iter_semigroups, run_census, verify_wilf_range)
 from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
                      InvalidTruncation, InvariantViolation, NonCoprimeGenerators,
                      NotAMember, NotEdgeMaximal, RealizationFailed, TooLarge,
@@ -35,8 +34,7 @@ __all__ = [
     "format_generators", "from_generators", "from_generators_truncated",
     "invariant_report", "iter_semigroups", "loopy_complete",
     "parse_generators", "plan_with_offsets", "random_loopy_graph",
-    "realize", "report", "run_census", "sample_semigroups",
-    "sidon_offsets", "structural_lemma_suite", "tau_bound_holds",
-    "verify_realization", "verify_wilf_range", "vm", "weight_analysis",
-    "wilf_w",
+    "realize", "report", "run_census", "sidon_offsets",
+    "structural_lemma_suite", "tau_bound_holds", "verify_realization",
+    "verify_wilf_range", "vm", "weight_analysis", "wilf_w",
 ]

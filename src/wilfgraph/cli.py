@@ -59,11 +59,10 @@ def _build_parser() -> _Parser:
                    help="also count graph-equivalence classes")
     add_common(p, ["table", "csv", "json"])
 
-    p = sub.add_parser("verify", help="Wilf inequality and invariant suite")
+    p = sub.add_parser("verify", help="Wilf inequality and invariant suite "
+                       "(all to genus 12, 25 per genus beyond)")
     p.add_argument("--genus-max", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled suite beyond genus 12")
     add_common(p, ["table", "json"])
 
     p = sub.add_parser("realize", help="semigroup whose graph matches the input")
@@ -209,12 +208,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = enumeration.verify_wilf_range(args.genus_max, workers=args.workers)
+    report = enumeration.verify_wilf_range(args.genus_max, workers=args.workers,
+                                           sample=25)
     exhaustive_cap = min(args.genus_max, 12)
     exhaustive = list(enumeration.iter_semigroups(exhaustive_cap))
-    drawn = enumeration.sample_semigroups(range(13, args.genus_max + 1), 25,
-                                          args.seed)
-    samples = [S for genus in drawn.values() for S in genus]
+    samples = [from_generators(gens) for g in range(13, args.genus_max + 1)
+               for gens in report.per_genus[g].sample]
     failures: list[str] = []
     for S in exhaustive + samples:
         bad = [k for k, ok in semigraph.invariant_report(S).items() if not ok]

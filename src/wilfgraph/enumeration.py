@@ -9,16 +9,18 @@ p plus the few sums whose every decomposition used p, so no node is
 sieved.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
-(canonical keys of the associated graphs), and the Wilf verification with
-its known-case buckets.
+(canonical keys of the associated graphs), the Wilf verification with its
+known-case buckets, and a fixed-size sample per genus for the invariant
+battery: the bottom-k sample of Cohen & Kaplan (PODC 2007) over a fixed
+hash, which merges across workers where a seeded reservoir could not.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappush, heapreplace
 from itertools import compress
 from multiprocessing import get_context
 
@@ -95,6 +97,7 @@ class GenusCensus:
     class_representatives: dict = field(default_factory=dict)
     wilf_violations: list = field(default_factory=list)
     buckets: Counter = field(default_factory=Counter)   # over BUCKETS
+    sample: list = field(default_factory=list)   # gens with the least hash
 
     @property
     def class_count_gamma(self) -> int:
@@ -115,6 +118,7 @@ class GenusCensus:
             self.class_representatives[key] = rep if mine is None else min(mine, rep)
         self.wilf_violations += other.wilf_violations
         self.buckets.update(other.buckets)
+        self.sample += other.sample
 
 
 def _graph_key(S, cache):
@@ -141,10 +145,12 @@ def _graph_key(S, cache):
 
 
 def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
-           cache: dict) -> None:
+           cache: dict, sample: int = 0) -> None:
     """Add every node of a stream to the census of its genus in acc;
-    ``cache`` maps graph signatures to canonical keys."""
+    ``cache`` maps graph signatures to canonical keys. The ``sample``
+    generator tuples of least hash in each genus join its sample."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
+    heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
     for S in nodes:
         g, m, c, gens = S.genus, S.multiplicity, S.conductor, S.min_generators
         n_p = len(gens)
@@ -159,11 +165,19 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             rep = stats.class_representatives.get(key)
             if rep is None or gens < rep:
                 stats.class_representatives[key] = gens
+        if sample:
+            heap, h = heaps[g], -hash(gens)
+            if len(heap) < sample:
+                heappush(heap, (h, gens))
+            elif h > heap[0][0]:        # below the largest hash kept
+                heapreplace(heap, (h, gens))
     for (g, *hits), count in cases.items():
         acc[g].count_ng += count
         hits.append(any(hits))
         for name in compress(BUCKETS, hits):
             acc[g].buckets[name] += count
+    for g, heap in heaps.items():
+        acc[g].sample += [gens for _, gens in heap]
 
 
 def _above(split, frontier):
@@ -183,7 +197,7 @@ def _deal(frontier, workers):
     return [frontier[i::count] for i in range(count)]
 
 
-# (batches, g_max, classes, cache), set only in a forked pool worker:
+# (batches, g_max, classes, cache, sample), set only in a forked pool worker:
 # fork hands the batches and the parent's graph-key cache over unpickled, and
 # the worker keeps filling its copy of the cache across its batches
 _batch_state = None
@@ -195,19 +209,21 @@ def _init_worker(*state):
 
 
 def _batch_job(i):
-    batches, g_max, classes, cache = _batch_state
+    batches, g_max, classes, cache, sample = _batch_state
     acc = {g: GenusCensus(g) for g in range(batches[i][0].genus, g_max + 1)}
     _tally((S for root in batches[i] for S in _descend(root, g_max)),
-           acc, classes, cache)
+           acc, classes, cache, sample)
     return acc
 
 
-def run_census(g_max: int, workers: int = 1, classes: bool = False
-               ) -> dict[int, GenusCensus]:
+def run_census(g_max: int, workers: int = 1, classes: bool = False,
+               sample: int = 0) -> dict[int, GenusCensus]:
     """Census of every genus 0..g_max; deterministic for any worker count.
 
     With workers > 1 the parent tallies the tree above the frontier genus
-    and a fork pool tallies the subtrees below it, in batches.
+    and a fork pool tallies the subtrees below it, in batches. Each genus's
+    ``sample`` holds its ``sample`` generator tuples of least hash, in
+    increasing hash order (the whole genus when it has fewer).
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
@@ -215,21 +231,28 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be within 1..{MAX_WORKERS}, "
                          f"got {workers}")
+    if sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(from_generators([1]), g_max), acc, classes, cache)
-        return acc
-    frontier: list = []
-    _tally(_above(split, frontier), acc, classes, cache)
-    batches = _deal(frontier, workers)
-    with get_context("fork").Pool(
-            workers, _init_worker,
-            (batches, g_max, classes, cache)) as pool:
-        for part in pool.imap_unordered(_batch_job, range(len(batches))):
-            for g, stats in part.items():
-                acc[g].merge(stats)
+        _tally(_descend(from_generators([1]), g_max), acc, classes, cache,
+               sample)
+    else:
+        frontier: list = []
+        _tally(_above(split, frontier), acc, classes, cache, sample)
+        batches = _deal(frontier, workers)
+        with get_context("fork").Pool(
+                workers, _init_worker,
+                (batches, g_max, classes, cache, sample)) as pool:
+            for part in pool.imap_unordered(_batch_job, range(len(batches))):
+                for g, stats in part.items():
+                    acc[g].merge(stats)
+    # the hash of a tuple of ints does not depend on PYTHONHASHSEED, so the
+    # sample is the same at every worker count and in every process
+    for stats in acc.values():
+        stats.sample = sorted(stats.sample, key=hash)[:sample]
     return acc
 
 
@@ -242,13 +265,15 @@ class WilfReport:
     per_genus: dict[int, GenusCensus]
 
 
-def verify_wilf_range(g_max: int, workers: int = 1) -> WilfReport:
-    """Check |P||L| >= c over every semigroup of genus <= g_max.
+def verify_wilf_range(g_max: int, workers: int = 1, sample: int = 0
+                      ) -> WilfReport:
+    """Check |P||L| >= c over every semigroup of genus <= g_max, drawing
+    ``sample`` semigroups per genus as ``run_census`` does.
 
     Raises WilfCounterexample (with the offending generator lists) if the
     inequality ever fails; that would be a sensational bug.
     """
-    acc = run_census(g_max, workers=workers, classes=False)
+    acc = run_census(g_max, workers=workers, sample=sample)
     violations = sorted(
         v for stats in acc.values() for v in stats.wilf_violations)
     if violations:
@@ -262,29 +287,3 @@ def verify_wilf_range(g_max: int, workers: int = 1) -> WilfReport:
         buckets=buckets,
         per_genus=acc,
     )
-
-
-def sample_semigroups(genera, count: int, seed: int
-                      ) -> dict[int, list[NumericalSemigroup]]:
-    """Seeded uniform samples of ``count`` semigroups of each genus in
-    ``genera`` (every one where a genus has fewer), keyed by genus.
-
-    One walk of the tree down to the largest genus feeds a reservoir per
-    genus (Vitter 1985, Algorithm R), all drawing from one generator.
-    """
-    samples = {g: [] for g in genera}
-    if not all(0 <= g <= GENUS_HARD_CAP for g in samples):
-        raise ValueError(f"genus must be within 0..{GENUS_HARD_CAP}")
-    rng = random.Random(seed)
-    seen = Counter()
-    for S in iter_semigroups(max(samples, default=-1)):
-        reservoir = samples.get(S.genus)
-        if reservoir is None:
-            continue
-        i = seen[S.genus]
-        seen[S.genus] += 1
-        if i < count:
-            reservoir.append(S)
-        elif (j := rng.randrange(i + 1)) < count:
-            reservoir[j] = S
-    return samples

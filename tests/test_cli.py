@@ -194,6 +194,40 @@ def test_verify_json(capsys):
     assert data["bucket_covered"] == data["semigroups"]
 
 
+def test_verify_sampled_json(capsys):
+    # beyond genus 12 the battery runs on the census's 25 per genus
+    code, out, _ = run(capsys, "verify", "--genus-max", "14", "--format",
+                       "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["invariants_checked_exhaustive"] == 1413
+    assert data["invariants_checked_sampled"] == 50
+    assert data["invariant_failures"] == []
+
+
+def test_verify_has_no_seed(capsys):
+    code, _, err = run(capsys, "verify", "--genus-max", "5", "--seed", "0")
+    assert code == 1
+    assert "--seed" in err
+
+
+def test_verify_walks_the_tree_once(capsys, monkeypatch):
+    # one walk to genus 16 plus the genus-12 list; no second walk to sample
+    bound = sum(1 for _ in enumeration.iter_semigroups(16)) + 1413
+    calls = 0
+    child = enumeration._child
+
+    def counted(S, p):
+        nonlocal calls
+        calls += 1
+        return child(S, p)
+
+    monkeypatch.setattr(enumeration, "_child", counted)
+    code, _, _ = run(capsys, "verify", "--genus-max", "16", "--workers", "1")
+    assert code == 0
+    assert calls <= bound
+
+
 def test_extremal(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "5", "--k", "4")
     assert code == 0
@@ -310,6 +344,17 @@ def test_invariant_violation_verify_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "FAILURE genus 3" in out
     assert "['leaf_structure']" in out
+
+
+def test_invariant_violation_verify_sampled_failure_exits_2(capsys,
+                                                            monkeypatch):
+    # a key that fails only beyond genus 12 shows in the sampled semigroups
+    monkeypatch.setattr(semigraph, "invariant_report",
+                        lambda S: {"leaf_structure": S.genus <= 12})
+    code, out, _ = run(capsys, "verify", "--genus-max", "14")
+    assert code == 2
+    assert out.count("FAILURE genus 13") == 25
+    assert out.count("FAILURE genus 14") == 25
 
 
 def test_invariant_violation_mapping_not_a_member_exits_1(capsys,

@@ -3,8 +3,7 @@ from collections import Counter
 import pytest
 
 from wilfgraph import (BUCKETS, build_graph, enumeration, from_generators,
-                       iter_semigroups, run_census, sample_semigroups,
-                       verify_wilf_range)
+                       iter_semigroups, run_census, verify_wilf_range)
 
 from oracles import brute_minimal_generators, sieve_members
 
@@ -190,30 +189,30 @@ def test_hypothesis_first_failures_beyond_twenty():
 
 
 def test_sampling_deterministic():
-    a = sample_semigroups([14, 9], 10, seed=3)
-    b = sample_semigroups([14, 9], 10, seed=3)
-    assert list(a) == [14, 9]
-    for g in (14, 9):
-        assert [S.min_generators for S in a[g]] == \
-            [S.min_generators for S in b[g]]
-        assert len(a[g]) == 10
-        assert all(S.genus == g for S in a[g])
-    # a genus with fewer semigroups than asked for is returned whole
-    genus_3 = [S for S in iter_semigroups(3) if S.genus == 3]
-    assert sample_semigroups([3], 10, seed=3)[3] == genus_3
-    assert sample_semigroups([], 10, seed=3) == {}
-    with pytest.raises(ValueError):
-        sample_semigroups([31], 1, seed=3)
+    # each genus's sample is its k generator tuples of least hash, at every
+    # worker count; genus <= 4 has fewer than k and comes back whole
+    k = 10
+    by_genus = {g: [] for g in range(15)}
+    for S in iter_semigroups(14):
+        by_genus[S.genus].append(S.min_generators)
+    expected = {g: sorted(gens, key=hash)[:k] for g, gens in by_genus.items()}
+    assert len(expected[4]) == NG[3] < k
+    for workers in (1, 2, 3):
+        res = run_census(14, workers=workers, sample=k)
+        assert {g: stats.sample for g, stats in res.items()} == expected
+    assert all(stats.sample == [] for stats in run_census(14).values())
 
 
 def test_sampling_diverse():
-    # 30 draws per genus are mostly distinct, and the share with a nonempty
-    # G(S) is close to the share over the whole genus
-    samples = sample_semigroups(range(13, 19), 30, seed=100)
+    # 30 draws per genus are distinct, and the share with a nonempty G(S)
+    # is close to the share over the whole genus
+    res = run_census(18, sample=30)
     nonempty = Counter(S.genus for S in iter_semigroups(18)
                        if S.genus >= 13 and build_graph(S).n)
-    for g, drawn in samples.items():
-        assert len(set(drawn)) >= 25
+    for g in range(13, 19):
+        drawn = [from_generators(gens) for gens in res[g].sample]
+        assert len(set(drawn)) == 30
+        assert all(S.genus == g for S in drawn)
         share = sum(1 for S in drawn if build_graph(S).n) / len(drawn)
         assert abs(share - nonempty[g] / NG[g - 1]) <= 0.2
 
@@ -223,6 +222,8 @@ def test_genus_bounds():
         run_census(31)
     with pytest.raises(ValueError):
         run_census(-1)
+    with pytest.raises(ValueError):
+        run_census(5, sample=-1)
 
 
 def test_bucket_totals_pinned():
