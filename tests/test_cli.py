@@ -1,12 +1,14 @@
 import json
 import time
+from itertools import chain
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wilfgraph import apery, enumeration, semigraph
+from wilfgraph import NumericalSemigroup, apery, enumeration, semigraph
 from wilfgraph.cli import main
-from wilfgraph.errors import InvariantViolation, NotAMember
+from wilfgraph.errors import InvariantViolation, NotAMember, WilfCounterexample
 
 
 def run(capsys, *argv):
@@ -107,6 +109,20 @@ def test_graph_json_roundtrip_to_realize(capsys, tmp_path):
     assert code == 0
 
 
+def test_realize_table(capsys, tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text('{"vertices": [0, 1], "edges": [[0, 1]]}')
+    code, out, _ = run(capsys, "realize", "--graph", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "gens: 12,16,17,20,22,25,26,27,30,31,35|t=24",
+        "m = 12, offsets = [4, 5], erased = [20, 22]",
+        'certificate: {"erased": [20, 22], "gens": [12, 16, 17, 20, 22, 25, '
+        '26, 27, 30, 31, 35], "m": 12, "offsets": [4, 5], "truncation": 24, '
+        '"verified": true}',
+    ]
+
+
 def test_graph_requires_one_source(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"vertices": [0], "edges": [], "loops": [0]}')
@@ -131,6 +147,16 @@ def test_enumerate_csv(capsys):
     assert rows[1][1] == "1"
     assert rows[7][1] == "39"
     assert rows[8][1] == "67"
+
+
+def test_enumerate_table(capsys):
+    code, out, _ = run(capsys, "enumerate", "--genus-max", "3")
+    assert code == 0
+    assert out == ("  g       n_g   gamma_g wilf_viol  frac |P|>=m/3\n"
+                   "  0         1                   0       1.000000\n"
+                   "  1         1                   0       1.000000\n"
+                   "  2         2                   0       1.000000\n"
+                   "  3         4                   0       1.000000\n")
 
 
 def test_enumerate_classes_json(capsys):
@@ -228,6 +254,24 @@ def test_verify_walks_the_tree_once(capsys, monkeypatch):
     assert calls <= bound
 
 
+def test_doctored_node_raises_wilf_counterexample(capsys, monkeypatch):
+    # {0} u [5, 8) read with m = 3, c = 5 and P = (3,): genus 4 and
+    # |P||L| = 1 < c = 5, a node only a broken tree step could produce
+    bad = NumericalSemigroup(0b11100001, 3, 5, (3,))
+    assert bad.genus == 4
+    descend = enumeration._descend
+    monkeypatch.setattr(enumeration, "_descend",
+                        lambda S, cut: chain(descend(S, cut), [bad]))
+    assert enumeration.run_census(4)[4].wilf_violations == [(3,)]
+    with pytest.raises(WilfCounterexample, match=r"failed for \[\(3,\)\]"):
+        enumeration.verify_wilf_range(4)
+    code, out, err = run(capsys, "verify", "--genus-max", "4")
+    assert code == 2
+    assert err == ("invariant failure: WilfCounterexample: "
+                   "Wilf inequality failed for [(3,)]\n")
+    assert out == ""
+
+
 def test_extremal(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "5", "--k", "4")
     assert code == 0
@@ -246,6 +290,17 @@ def test_extremal_dot_output(capsys, tmp_path):
     files = sorted(outdir.glob("witness_*.dot"))
     assert files
     assert "graph G {" in files[0].read_text()
+
+
+def test_extremal_dot_stdout(capsys):
+    # the witnesses' DOT texts, one after another, on standard output
+    code, out, _ = run(capsys, "extremal", "--n", "3", "--k", "2", "--format",
+                       "dot")
+    assert code == 0
+    assert out == ('graph G {\n  "0";\n  "1";\n  "2";\n'
+                   '  "0" -- "1";\n  "0" -- "2";\n  "1" -- "2";\n}\n\n'
+                   'graph G {\n  "0";\n  "1";\n  "2";\n'
+                   '  "0" -- "2";\n  "1" -- "2";\n  "2" -- "2";\n}\n')
 
 
 def test_extremal_infeasible(capsys):
