@@ -141,13 +141,13 @@ def cmd_graph(args) -> int:
         "vertices": G.n,
         "edges": G.edge_count,
         "k": ma.vm,
-        "lambda": ma.loop_count,
+        "lambda": G.loop_count,
         "nu": ma.nu,
-        "weak": len(ma.weak_edges),
+        "weak": len(weak),
         "active": len(ma.active_edges),
     }
     if args.fmt == "dot":
-        _emit(G.to_dot(weak=ma.weak_edges, active=ma.active_edges), args.out)
+        _emit(G.to_dot(weak=weak, active=ma.active_edges), args.out)
         return 0
     if args.fmt == "json":
         payload = G.to_json()
@@ -160,8 +160,8 @@ def cmd_graph(args) -> int:
                      if args.gens is not None else "empty graph")
     lines.append(f"vertices {G.n}, edges {G.edge_count} "
                  f"({len(G.true_edges)} true + {G.loop_count} loops)")
-    lines.append(f"vm k = {ma.vm}, lambda = {ma.loop_count}, nu = {ma.nu}")
-    lines.append(f"|E0| = {len(ma.weak_edges)} weak, "
+    lines.append(f"vm k = {ma.vm}, lambda = {G.loop_count}, nu = {ma.nu}")
+    lines.append(f"|E0| = {len(weak)} weak, "
                  f"|E+| = {len(ma.active_edges)} active")
     if G.n:
         lines.append(f"loops at {sorted(G.loops)}")

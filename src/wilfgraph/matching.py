@@ -7,25 +7,29 @@ vertex-maximal matchings, of vertices touched by normal edges; both are solved
 together through the lexicographic objective (touched, normal_touched).
 
 Both solver paths answer best(free), the optimum over matchings inside a
-vertex mask. Up to 24 edges, a dynamic program over free-vertex masks keeps
-one memo per graph: at the lowest free vertex v, either leave v unmatched or
-take an edge whose lowest end is v and whose ends are both free. Beyond that,
-a reduction to maximum-weight matching (loops become pendant gadget edges of
-half the weight) runs once per mask asked. They agree on the overlap.
-Graphs over _MAX_EDGES = 100 edges, loops included, raise TooLarge (about a
-second of analysis); the census graphs to genus 20 have at most 22 edges.
+vertex mask, and _solve picks one by the vertex count n. Up to 16 vertices,
+a dynamic program over free-vertex masks keeps one memo per graph: at the
+lowest free vertex v, either leave v unmatched or take an edge whose lowest
+end is v and whose ends are both free. The memo never holds more than 2^n
+masks. From the full mask it reaches at most the Fibonacci number F(n + 2),
+2,584 at n = 16: a state with lowest free vertex v has lost at most v of the
+vertices above v.
+Past 16 vertices, a reduction to maximum-weight matching (loops become
+pendant gadget edges of half the weight) runs once per mask asked, through
+networkx, which is imported only then. The two agree where both run; the DP
+is the faster up to about 18 vertices. Census graphs have at most 16 vertices
+up to genus 18 and at most 20 at genus 22. Graphs over _MAX_EDGES = 100
+edges, loops included, raise TooLarge (about a second of analysis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import Infeasible, InvariantViolation, NotEdgeMaximal, TooLarge
 from .loopy import LoopyGraph, all_loopy_graphs
 
-_BB_EDGE_LIMIT = 24
+_DP_MAX_VERTICES = 16
 _MAX_EDGES = 100
 
 
@@ -34,9 +38,7 @@ class MatchingAnalysis:
     """Matching-side invariants of a loopy graph."""
 
     vm: int
-    loop_count: int
     nu: int
-    weak_edges: frozenset
     active_edges: frozenset
     witness_matching: tuple
 
@@ -95,6 +97,8 @@ def _solve_blossom(triples, n):
     max-weight matching realizes the lexicographic optimum. Integer weights
     keep the blossom computation exact.
     """
+    import networkx as nx       # a 0.2 s import that only this path needs
+
     scale = 2 * n + 1
     graph = nx.Graph()
     for idx, (mask, touch, bonus) in enumerate(triples):
@@ -112,16 +116,14 @@ def _solve_blossom(triples, n):
 
 
 def _solve(triples, n):
-    """best(free): one memoized DP up to the edge limit; past it, each mask
-    is solved alone, by the solver for the number of edges inside it."""
-    if len(triples) <= _BB_EDGE_LIMIT:
+    """best(free): one memoized DP up to _DP_MAX_VERTICES vertices; past
+    them, one maximum-weight matching over the edges inside each mask."""
+    if n <= _DP_MAX_VERTICES:
         return _solve_bb(triples, n)
 
     def best(free: int):
         inside = [i for i, t in enumerate(triples) if t[0] & free == t[0]]
-        sub = [triples[i] for i in inside]
-        t, b, chosen = (_solve_blossom(sub, n) if len(sub) == len(triples)
-                        else _solve(sub, n)(free))
+        t, b, chosen = _solve_blossom([triples[i] for i in inside], n)
         return t, b, tuple(inside[i] for i in chosen)
 
     return best
@@ -149,9 +151,8 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     # each query: e is active iff G minus its ends reaches k - touch(e)
     active = frozenset(e for e, (mask, touch, _) in zip(edges, triples)
                        if best(full & ~mask)[0] == k - touch)
-    loop_count = G.loop_count
-    if not loop_count <= k <= G.n:
-        raise InvariantViolation(f"vm = {k} outside [{loop_count}, {G.n}]")
+    if not G.loop_count <= k <= G.n:
+        raise InvariantViolation(f"vm = {k} outside [{G.loop_count}, {G.n}]")
     if not 0 <= nu <= k:
         raise InvariantViolation(f"nu = {nu} outside [0, {k}]")
     # every vertex-maximal matching meets all loops
@@ -159,9 +160,7 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
         raise InvariantViolation("a vertex-maximal matching misses a loop")
     return MatchingAnalysis(
         vm=k,
-        loop_count=loop_count,
         nu=nu,
-        weak_edges=weak,
         active_edges=active,
         witness_matching=witness,
     )

@@ -1,13 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import wilfgraph
 from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
                        NotEdgeMaximal, TooLarge, all_loopy_graphs,
                        analyze_matchings, edge_maximal_check,
                        extremal_edge_search, loopy_complete,
                        random_loopy_graph, vm)
-from wilfgraph.matching import (_BB_EDGE_LIMIT, _MAX_EDGES, _edge_triples,
+from wilfgraph.matching import (_DP_MAX_VERTICES, _MAX_EDGES, _edge_triples,
                                 _solve_bb, _solve_blossom)
 
 from oracles import brute_matching_stats
@@ -104,12 +108,12 @@ def _graph_with_edges(rng, n, count):
 
 
 def test_solver_paths_agree():
-    # the vertex-mask DP and the blossom reduction agree on the overlap
-    # region, up to the switch at 24 edges
+    # the vertex-mask DP and the blossom reduction agree on small graphs,
+    # sparse and dense
     rng = random.Random(3)
     graphs = [random_loopy_graph(rng, 2, 8, 12) for _ in range(120)]
     graphs += [_graph_with_edges(rng, rng.randint(7, 10), count)
-               for count in range(16, _BB_EDGE_LIMIT + 1) for _ in range(5)]
+               for count in range(16, 41) for _ in range(5)]
     for G in graphs:
         weak = frozenset(e for e in G.all_edges() if rng.random() < 0.3)
         _, triples = _edge_triples(G, weak)
@@ -118,13 +122,55 @@ def test_solver_paths_agree():
         assert bb[:2] == bl[:2]
 
 
+def _crossing(k):
+    """2k vertices, k disjoint edges (i, i + k): a DP over vertex masks
+    would reach about 2^k of them."""
+    return LoopyGraph(range(2 * k), [(i, i + k) for i in range(k)])
+
+
+def _assert_witness_attains(G, weak, ma):
+    used = [v for e in ma.witness_matching for v in set(e)]
+    assert len(used) == len(set(used))
+    assert all(G.has_edge(*e) for e in ma.witness_matching)
+    assert len(used) == ma.vm
+    assert sum(len(set(e)) for e in ma.witness_matching
+               if e not in weak) == ma.nu
+
+
 def test_blossom_path_on_large_graph():
-    # LK_7 has 28 edges, beyond the vertex-mask DP cutoff
-    lk7 = loopy_complete(7)
-    assert lk7.edge_count == 28
-    assert vm(lk7) == 7
-    ma = analyze_matchings(lk7)
-    assert ma.nu == 7
+    # a 17-cycle with one loop: past the DP's vertex limit
+    G = LoopyGraph(range(17), [(i, (i + 1) % 17) for i in range(17)], [0])
+    assert G.n > _DP_MAX_VERTICES
+    assert vm(G) == 17
+    ma = analyze_matchings(G)
+    assert (ma.vm, ma.nu) == (17, 17)
+    _assert_witness_attains(G, frozenset(), ma)
+
+
+def test_graphs_past_the_vertex_limit_skip_the_dp(monkeypatch):
+    from wilfgraph import matching
+
+    def no_dp(triples, n):
+        raise AssertionError(f"DP built on {n} vertices")
+
+    monkeypatch.setattr(matching, "_solve_bb", no_dp)
+    rng = random.Random(17)
+    graphs = [_crossing(9)]
+    for n in range(17, 23):
+        for _ in range(2):
+            # a random tree on n vertices plus a few edges and loops
+            pairs = {(rng.randrange(v), v) for v in range(1, n)}
+            pairs |= {tuple(sorted(rng.sample(range(n), 2)))
+                      for _ in range(rng.randint(0, 4))}
+            loops = rng.sample(range(n), rng.randint(0, 3))
+            graphs.append(LoopyGraph(range(n), pairs, loops))
+    for G in graphs:
+        weak = frozenset(e for e in G.all_edges() if rng.random() < 0.3)
+        k, nu, act = brute_matching_stats(G, weak)
+        ma = analyze_matchings(G, weak)
+        assert (ma.vm, ma.nu) == (k, nu)
+        assert ma.active_edges == frozenset(act)
+        _assert_witness_attains(G, weak, ma)
 
 
 def test_edge_maximal_check():
@@ -196,3 +242,16 @@ def test_edge_cap():
     for solve in (vm, analyze_matchings):
         with pytest.raises(TooLarge):
             solve(over)
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx serves only the blossom path, past the DP's vertex limit
+    code = ("import sys, wilfgraph\n"
+            "wilfgraph.analyze_matchings(wilfgraph.loopy_complete(4))\n"
+            "raise SystemExit('networkx' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(wilfgraph.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
