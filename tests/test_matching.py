@@ -122,12 +122,6 @@ def test_solver_paths_agree():
         assert bb[:2] == bl[:2]
 
 
-def _crossing(k):
-    """2k vertices, k disjoint edges (i, i + k): a DP over vertex masks
-    would reach about 2^k of them."""
-    return LoopyGraph(range(2 * k), [(i, i + k) for i in range(k)])
-
-
 def _assert_witness_attains(G, weak, ma):
     used = [v for e in ma.witness_matching for v in set(e)]
     assert len(used) == len(set(used))
@@ -155,7 +149,9 @@ def test_graphs_past_the_vertex_limit_skip_the_dp(monkeypatch):
 
     monkeypatch.setattr(matching, "_solve_bb", no_dp)
     rng = random.Random(17)
-    graphs = [_crossing(9)]
+    # 9 disjoint edges (i, i + 9), on which a DP over vertex masks would
+    # reach about 2^9 masks
+    graphs = [LoopyGraph(range(18), [(i, i + 9) for i in range(9)])]
     for n in range(17, 23):
         for _ in range(2):
             # a random tree on n vertices plus a few edges and loops
