@@ -121,35 +121,99 @@ class GenusCensus:
         self.sample += other.sample
 
 
-def _graph_key(S, cache):
-    rows = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
-    # the same graph over vertex positions, loops apart, for the labeling
-    position = {1 << a: 1 << i for i, a in enumerate(rows)}
-    adj = []
-    loopmask = 0
-    for i, (a, row) in enumerate(rows.items()):
-        if row >> a & 1:
-            loopmask |= 1 << i
-            row ^= 1 << a
-        out = 0
-        while row:
-            low = row & -row
-            out |= position[low]
-            row ^= low
-        adj.append(out)
-    sig = (len(rows), tuple(adj), loopmask)
+def _graph_entry(S, parent, cache):
+    """The census entry (m, X, V, sig, key) of S: its multiplicity m, the
+    bitmask X of its nonzero Apery elements, the bitmask V of the vertices
+    of G(S), the positional signature sig = (n, rows, loops) of G(S) over
+    the vertices in increasing order, loops apart, and the canonical key
+    of sig, which ``cache`` maps from sig.
+
+    ``parent`` is the entry of the parent of S in the semigroup tree, or
+    None. A child S' = S minus p with the parent's multiplicity m (so p > f
+    and p != m) is built from it by this lemma: G(S') is G(S) plus the
+    fiber of p + m, the pairs of X' summing to p + m.
+    - p is isolated in G(S): p >= c and y > m for every y in X, so
+      p + y > c + m > max(X); and no pair of X sums to p, since a minimal
+      generator is no sum of two nonzero members.
+    - X' = X minus p plus p + m: removing p changes only the Apery element
+      of p's class mod m, to p + m, which is in S' as p + m > p = f'.
+    - Every old edge a + b = z in X stays, as z != p. A new edge sums to an
+      element of X' outside X, so to p + m; and p + m = max(X') (X' lies
+      below c' + m = p + 1 + m) is isolated, as p + m + y > max(X').
+    So the rows grow only by the fiber, whose endpoints not yet in V are
+    inserted by shifting every row and the loop mask. An empty fiber
+    (p + m is a minimal generator of S') keeps the parent's sig and key.
+    The root, a batch root and the child with p = m are built from scratch.
+    """
+    m = S.multiplicity
+    if parent is not None and parent[0] == m:
+        _, x, verts, sig, key = parent
+        top = S.conductor - 1 + m       # p + m
+        x ^= 1 << (top - m) | 1 << top
+        # bit a of the reversal is bit top - a of x, as top = max(X')
+        fiber = x & int(bin(x)[:1:-1], 2)
+        if not fiber:
+            return m, x, verts, sig, key
+        rows, loops = list(sig[1]), sig[2]
+        new = fiber & ~verts
+        while new:
+            bit = new & -new
+            k = (verts & (bit - 1)).bit_count()
+            # row + (row & high) shifts the bits from k up by one
+            high = -1 << k
+            rows = [row + (row & high) for row in rows]
+            loops += loops & high
+            rows.insert(k, 0)
+            verts |= bit
+            new ^= bit
+        while fiber:
+            bit = fiber & -fiber
+            a = bit.bit_length() - 1
+            if 2 * a > top:
+                break
+            i = (verts & (bit - 1)).bit_count()
+            j = (verts & ((1 << (top - a)) - 1)).bit_count()
+            if i == j:
+                loops |= 1 << i
+            else:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            fiber ^= bit
+        sig = (len(rows), tuple(rows), loops)
+    else:
+        x = apery_mask(S.mask, m, S.conductor)
+        adjacency = neighbor_masks(x)
+        # the same graph over vertex positions, loops apart, for the labeling
+        position = {1 << a: 1 << i for i, a in enumerate(adjacency)}
+        rows = []
+        loops = 0
+        for i, (a, row) in enumerate(adjacency.items()):
+            if row >> a & 1:
+                loops |= 1 << i
+                row ^= 1 << a
+            out = 0
+            while row:
+                low = row & -row
+                out |= position[low]
+                row ^= low
+            rows.append(out)
+        verts = sum(position)          # the bits 1 << a of the vertices
+        sig = (len(rows), tuple(rows), loops)
     key = cache.get(sig)
     if key is None:
         key = cache[sig] = _canonical_key(*sig)
-    return key
+    return m, x, verts, sig, key
 
 
 def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
            cache: dict, sample: int = 0) -> None:
-    """Add every node of a stream to the census of its genus in acc;
-    ``cache`` maps graph signatures to canonical keys. The ``sample``
+    """Add every node of a preorder stream to the census of its genus in
+    acc; ``cache`` maps graph signatures to canonical keys. The ``sample``
     generator tuples of least hash in each genus join its sample."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
+    # genus -> entry of the last node streamed there: genus is depth, so a
+    # node's parent, when streamed, is the last node one genus up
+    path: dict = {}
     heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
     for S in nodes:
         g, m, c, gens = S.genus, S.multiplicity, S.conductor, S.min_generators
@@ -160,7 +224,8 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
         cases[case] = cases.get(case, 0) + 1
         if classes:
             stats = acc[g]
-            key = _graph_key(S, cache)
+            entry = path[g] = _graph_entry(S, path.get(g - 1), cache)
+            key = entry[4]
             stats.class_keys[key] += 1
             rep = stats.class_representatives.get(key)
             if rep is None or gens < rep:

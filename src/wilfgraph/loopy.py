@@ -187,7 +187,13 @@ def loopy_complete(n: int) -> LoopyGraph:
 
 
 def _refine(cells, adj):
-    while True:
+    # Two shortcuts that return the partition the plain loop returns: a
+    # discrete partition comes back at once, as no splitter splits a cell
+    # of one vertex; and a cell splits, into its count groups in increasing
+    # order, exactly when some vertex's count differs from its first one's,
+    # so the groups are built only then.
+    n = len(adj)
+    while len(cells) < n:
         changed = False
         for splitter in cells:
             smask = 0
@@ -198,20 +204,25 @@ def _refine(cells, adj):
                 if len(cell) == 1:
                     new_cells.append(cell)
                     continue
+                first = (adj[cell[0]] & smask).bit_count()
+                for v in cell:
+                    if (adj[v] & smask).bit_count() != first:
+                        break
+                else:
+                    new_cells.append(cell)
+                    continue
                 groups: dict[int, list[int]] = {}
                 for v in cell:
                     groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    changed = True
-                    for count in sorted(groups):
-                        new_cells.append(groups[count])
+                changed = True
+                for count in sorted(groups):
+                    new_cells.append(groups[count])
             cells = new_cells
             if changed:
                 break
         if not changed:
             return cells
+    return cells
 
 
 def _encode(order, adj, loopmask):

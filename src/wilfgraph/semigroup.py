@@ -19,6 +19,13 @@ from .errors import (EmptyGenerators, InvalidTruncation, NonCoprimeGenerators,
 # pass at this length takes about 20 ms, and the slowest from_generators
 # input tried, [2000, 2001], about 0.07 s.
 MAX_TABLE = 4_000_000
+# Largest multiplicity of a truncated semigroup. The minimal-generator pass
+# tests about m candidates against the generators below each, so its time
+# grows with m^2: on a 2-core Xeon with CPython 3.11, [20000, 21000)
+# truncated at MAX_TABLE spends 0.9 s in that pass and [100000, 101000)
+# 15.5 s. realize needs m = 9138 at the canonical-labeling cap of 32
+# vertices.
+MAX_MULTIPLICITY = 20_000
 
 
 _ONE = re.compile("1")
@@ -240,7 +247,8 @@ def from_generators_truncated(gens, t: int) -> NumericalSemigroup:
     Raises:
         EmptyGenerators: no generators, or a non-positive one.
         InvalidTruncation: t <= 0.
-        TooLarge: t > MAX_TABLE.
+        TooLarge: t > MAX_TABLE, or multiplicity min(gens[0], t) above
+            MAX_MULTIPLICITY.
     """
     if t <= 0:
         raise InvalidTruncation(f"truncation point must be positive, got {t}")
@@ -248,6 +256,8 @@ def from_generators_truncated(gens, t: int) -> NumericalSemigroup:
         raise TooLarge(f"truncation point {t} exceeds the limit {MAX_TABLE}")
     gens = _validated(gens)
     m = min(gens[0], t)
+    if m > MAX_MULTIPLICITY:
+        raise TooLarge(f"multiplicity {m} exceeds the limit {MAX_MULTIPLICITY}")
     horizon = t + m + 1
     mask = _closure(gens, horizon) | ((1 << horizon) - (1 << t))
     c = _find_conductor(mask, m)

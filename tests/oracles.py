@@ -88,7 +88,9 @@ def brute_isomorphic(g, h):
 #
 # The labeling and the augmentation catalog as they were before the search
 # skipped twin branches and the catalog skipped twin augmentations: the keys
-# and the catalog must not change when those prunings are added.
+# and the catalog must not change when those prunings are added. _refine is
+# also the refinement as it was before its discrete and uniform-cell
+# shortcuts, which must return the same partitions.
 
 
 def _refine(cells, adj):

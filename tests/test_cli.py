@@ -443,6 +443,19 @@ def test_oversized_sieve_exits_1_quickly(capsys):
         assert out == ""
 
 
+def test_large_multiplicity_exits_1_quickly(capsys):
+    # about 10^5 candidates against tens of thousands of generators each
+    # would take the minimal-generator pass some 15 s
+    gens = ",".join(map(str, range(100000, 101000))) + "|t=4000000"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", "--gens", gens)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "multiplicity 100000 exceeds the limit 20000" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # -- fuzzed argv --------------------------------------------------------------
 
 _FORMATS = {"info": ["table", "json"], "graph": ["table", "dot", "json"],

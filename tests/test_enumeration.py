@@ -243,3 +243,25 @@ def test_census_key_matches_build_graph():
     keys = Counter(build_graph(S).canonical_key()
                    for S in iter_semigroups(9) if S.genus == 9)
     assert run_census(9, classes=True)[9].class_keys == keys
+
+
+def test_census_entry_grows_from_parent():
+    # every tree step to genus 16: the entry built from the parent's equals
+    # the one built from scratch, signature and key; the parent's entry is
+    # kept exactly when p + m is a minimal generator of the child
+    path, cache, grown_cache = {}, {}, {}
+    steps = kept = empty_fibers = 0
+    for S in iter_semigroups(16):
+        g, m = S.genus, S.multiplicity
+        scratch = enumeration._graph_entry(S, None, cache)
+        parent = path.get(g - 1)
+        if parent is not None:
+            entry = enumeration._graph_entry(S, parent, grown_cache)
+            assert entry == scratch, S
+            steps += 1
+            kept += entry[3] is parent[3]
+            empty_fibers += (parent[0] == m
+                             and S.frobenius + m in S.min_generators)
+        path[g] = scratch
+    assert steps == sum(NG[:16])
+    assert kept == empty_fibers > 0

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from wilfgraph import (LoopyGraph, TooLarge, all_loopy_graphs, build_graph,
                        iter_semigroups, loopy_complete, random_loopy_graph)
-from wilfgraph.loopy import _canonical_key
+from wilfgraph.loopy import _canonical_key, _refine
 
+from oracles import _refine as plain_refine
 from oracles import brute_isomorphic, canonical_key_unpruned, catalog_unpruned
 
 
@@ -192,6 +193,47 @@ def test_keys_match_unpruned_on_twin_heavy_graphs(case):
     key = G.canonical_key()
     assert key == _unpruned_key(G)
     assert G.relabeled(dict(zip(G.vertices, perm))).canonical_key() == key
+
+
+@st.composite
+def _partitioned_graphs(draw):
+    """A random loopy graph on 1-14 vertices, as rows without the loops, and
+    an ordered partition of its vertices: discrete, one cell, cut at random
+    points of a random order, or the (loop, degree) coloring of the
+    labeling."""
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    emask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * n
+    for bit, (i, j) in enumerate(pairs):
+        if emask >> bit & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    order = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(("discrete", "one", "cut", "colored")))
+    if shape == "discrete":
+        return adj, [[v] for v in order]
+    if shape == "one":
+        return adj, [list(order)]
+    if shape == "cut":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+        return adj, [list(order[a:b])
+                     for a, b in zip([0] + cuts, cuts + [n])]
+    loopmask = draw(st.integers(0, (1 << n) - 1))
+    colors: dict = {}
+    for v in order:
+        colors.setdefault((loopmask >> v & 1, adj[v].bit_count()),
+                          []).append(v)
+    return adj, [colors[k] for k in sorted(colors)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_partitioned_graphs())
+def test_refine_matches_oracle(case):
+    # the shortcuts return the very partition of the plain refinement
+    adj, cells = case
+    expected = plain_refine([list(c) for c in cells], adj)
+    assert _refine([list(c) for c in cells], adj) == expected
 
 
 def test_keys_match_unpruned_on_regular_graphs():

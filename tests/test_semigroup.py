@@ -6,7 +6,7 @@ from wilfgraph import (EmptyGenerators, InvalidTruncation,
                        NonCoprimeGenerators, NumericalSemigroup, TooLarge,
                        analyze, apery_set, from_generators,
                        from_generators_truncated, parse_generators)
-from wilfgraph.semigroup import MAX_TABLE
+from wilfgraph.semigroup import MAX_MULTIPLICITY, MAX_TABLE
 
 from oracles import brute_apery, brute_minimal_generators, sieve_members
 
@@ -248,6 +248,12 @@ def test_table_cap():
         from_generators([3, MAX_TABLE // 2 + 2])
     with pytest.raises(TooLarge):
         from_generators_truncated([2, 3], MAX_TABLE + 1)
+    # the multiplicity of a truncated semigroup is capped before any pass
+    assert from_generators_truncated(
+        [MAX_MULTIPLICITY], 2 * MAX_MULTIPLICITY).multiplicity \
+        == MAX_MULTIPLICITY
+    with pytest.raises(TooLarge):
+        from_generators_truncated([MAX_MULTIPLICITY + 1], MAX_TABLE)
     # the gcd is checked first
     with pytest.raises(NonCoprimeGenerators):
         from_generators([2 * MAX_TABLE, 4 * MAX_TABLE])
