@@ -3,10 +3,9 @@
 The semigroup tree is rooted at the full set of nonnegative integers; the
 children of S are S minus one minimal generator exceeding the Frobenius
 number, which raises the genus by exactly one and reaches every semigroup
-exactly once. Each node is a NumericalSemigroup: a child's mask is its
-parent's with p cleared, and its minimal generators are the parent's without
-p plus the few sums whose every decomposition used p, so no node is
-sieved.
+exactly once. Each node is a tuple (mask, m, c, g, gens), built from its
+parent's with no sieve, that ``iter_semigroups`` wraps in a
+NumericalSemigroup; the census reads the tuples.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
@@ -27,8 +26,7 @@ from multiprocessing import get_context
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
 from .semigraph import neighbor_masks
-from .semigroup import (NumericalSemigroup, _add_generators, apery_mask,
-                        from_generators)
+from .semigroup import NumericalSemigroup, apery_mask
 
 GENUS_HARD_CAP = 30
 MAX_WORKERS = 64
@@ -39,38 +37,47 @@ MAX_WORKERS = 64
 _SPLIT_DEPTH = 6
 _SPLIT_FLOOR = 9
 _BATCHES_PER_WORKER = 8
+_ROOT = (1, 1, 0, 0, (1,))      # the tree node of N itself, see _descend
 
 
-def _child(S: NumericalSemigroup, p: int) -> NumericalSemigroup:
-    """S minus its minimal generator p > f."""
-    m = S.multiplicity + (p == S.multiplicity)
-    # the members of [0, c' + m') with c' = p + 1; every bit from c up is set
-    mask = (S.mask | -(1 << S.conductor)) & ~(1 << p)
-    mask &= (1 << (p + 1 + m)) - 1
-    # a new generator x is a sum in S whose every decomposition uses p, so
-    # x = p + a with a in S*, and x < c' + m': only p + m, and also 2m + 1
-    # when p = m
-    gens = list(S.min_generators)
-    gens.remove(p)
-    return NumericalSemigroup(mask, m, p + 1, _add_generators(
-        mask, m, gens, range(p + S.multiplicity, p + 1 + m)))
-
-
-def _descend(S, cut):
-    """Depth-first stream of the subtree at S, children by increasing
+def _descend(node, cut):
+    """Depth-first stream of the subtree at ``node``, children by increasing
     removed generator p > f; nodes of genus ``cut`` are yielded but not
-    expanded."""
-    stack = [S]
+    expanded. A node (mask, m, c, g, gens) holds the members of S in
+    [0, c + m), its multiplicity, conductor, genus and minimal generators.
+
+    S' = S minus p has c' = p + 1 and g' = g + 1. If p = m, S = {0} u [m, oo)
+    and S' = {0} u [m + 1, oo) is generated by m + 1, ..., 2m + 1. Else
+    m' = m, and a new generator x = p + a (a in S*) is below c' + m, as
+    x - m >= c' otherwise: x = p + m. It is a sum in S' iff a generator
+    q <= p of S' leaves p + m - q >= m a member (the least summand is q plus
+    0 or a member): q is one of the parent's generators below p.
+    """
+    stack = [node]
+    push, pop = stack.append, stack.pop
     while stack:
-        S = stack.pop()
-        yield S
-        if S.genus < cut:
-            # the generators above f are a suffix: none equals f
-            f = S.frobenius
-            for p in reversed(S.min_generators):
-                if p < f:
+        node = pop()
+        yield node
+        mask, m, c, g, gens = node
+        if g < cut:
+            g += 1
+            full = mask | -(1 << c)     # every bit from c up is set
+            # the generators above f are a suffix, and only gens[0] is m
+            for i in range(len(gens) - 1, 0, -1):
+                p = gens[i]
+                if p < c:
                     break
-                stack.append(_child(S, p))
+                child = (full ^ (1 << p)) & ((2 << (p + m)) - 1)
+                low, x = gens[:i], p + m
+                for q in low:
+                    if child >> (x - q) & 1:
+                        push((child, m, p + 1, g, low + gens[i + 1:]))
+                        break
+                else:
+                    push((child, m, p + 1, g, low + gens[i + 1:] + (x,)))
+            if m >= c:
+                push(((full ^ (1 << m)) & ((1 << (2 * m + 2)) - 1),
+                      m + 1, m + 1, g, gens[1:] + (2 * m, 2 * m + 1)))
 
 
 def iter_semigroups(g_max: int):
@@ -79,7 +86,8 @@ def iter_semigroups(g_max: int):
     Deterministic order: children are visited by increasing removed generator.
     """
     if g_max >= 0:
-        yield from _descend(from_generators([1]), g_max)
+        for mask, m, c, _, gens in _descend(_ROOT, g_max):
+            yield NumericalSemigroup(mask, m, c, gens)
 
 
 # Known cases of the Wilf inequality that the census tallies, in report
@@ -121,12 +129,13 @@ class GenusCensus:
         self.sample += other.sample
 
 
-def _graph_entry(S, parent, cache):
-    """The census entry (m, X, V, sig, key) of S: its multiplicity m, the
-    bitmask X of its nonzero Apery elements, the bitmask V of the vertices
-    of G(S), the positional signature sig = (n, rows, loops) of G(S) over
-    the vertices in increasing order, loops apart, and the canonical key
-    of sig, which ``cache`` maps from sig.
+def _graph_entry(mask, m, c, parent, cache):
+    """The census entry (m, X, V, sig, key) of the semigroup S with members
+    ``mask`` below c + m: its multiplicity m, the bitmask X of its nonzero
+    Apery elements, the bitmask V of the vertices of G(S), the positional
+    signature sig = (n, rows, loops) of G(S) over the vertices in increasing
+    order, loops apart, and the canonical key of sig, which ``cache`` maps
+    from sig.
 
     ``parent`` is the entry of the parent of S in the semigroup tree, or
     None. A child S' = S minus p with the parent's multiplicity m (so p > f
@@ -145,10 +154,9 @@ def _graph_entry(S, parent, cache):
     (p + m is a minimal generator of S') keeps the parent's sig and key.
     The root, a batch root and the child with p = m are built from scratch.
     """
-    m = S.multiplicity
     if parent is not None and parent[0] == m:
         _, x, verts, sig, key = parent
-        top = S.conductor - 1 + m       # p + m
+        top = c - 1 + m                 # p + m
         x ^= 1 << (top - m) | 1 << top
         # bit a of the reversal is bit top - a of x, as top = max(X')
         fiber = x & int(bin(x)[:1:-1], 2)
@@ -181,7 +189,7 @@ def _graph_entry(S, parent, cache):
             fiber ^= bit
         sig = (len(rows), tuple(rows), loops)
     else:
-        x = apery_mask(S.mask, m, S.conductor)
+        x = apery_mask(mask, m, c)
         adjacency = neighbor_masks(x)
         # the same graph over vertex positions, loops apart, for the labeling
         position = {1 << a: 1 << i for i, a in enumerate(adjacency)}
@@ -215,8 +223,7 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     # node's parent, when streamed, is the last node one genus up
     path: dict = {}
     heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
-    for S in nodes:
-        g, m, c, gens = S.genus, S.multiplicity, S.conductor, S.min_generators
+    for mask, m, c, g, gens in nodes:
         n_p = len(gens)
         if n_p * (c - g) < c:           # |L| = c - g
             acc[g].wilf_violations.append(gens)
@@ -224,7 +231,7 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
         cases[case] = cases.get(case, 0) + 1
         if classes:
             stats = acc[g]
-            entry = path[g] = _graph_entry(S, path.get(g - 1), cache)
+            entry = path[g] = _graph_entry(mask, m, c, path.get(g - 1), cache)
             key = entry[4]
             stats.class_keys[key] += 1
             rep = stats.class_representatives.get(key)
@@ -248,11 +255,11 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
 def _above(split, frontier):
     """Stream the tree above genus ``split``; the nodes of genus ``split``
     go to ``frontier`` instead."""
-    for S in _descend(from_generators([1]), split):
-        if S.genus < split:
-            yield S
+    for node in _descend(_ROOT, split):
+        if node[3] < split:
+            yield node
         else:
-            frontier.append(S)
+            frontier.append(node)
 
 
 def _deal(frontier, workers):
@@ -275,8 +282,8 @@ def _init_worker(*state):
 
 def _batch_job(i):
     batches, g_max, classes, cache, sample = _batch_state
-    acc = {g: GenusCensus(g) for g in range(batches[i][0].genus, g_max + 1)}
-    _tally((S for root in batches[i] for S in _descend(root, g_max)),
+    acc = {g: GenusCensus(g) for g in range(batches[i][0][3], g_max + 1)}
+    _tally((node for root in batches[i] for node in _descend(root, g_max)),
            acc, classes, cache, sample)
     return acc
 
@@ -302,8 +309,7 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     cache: dict = {}
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(from_generators([1]), g_max), acc, classes, cache,
-               sample)
+        _tally(_descend(_ROOT, g_max), acc, classes, cache, sample)
     else:
         frontier: list = []
         _tally(_above(split, frontier), acc, classes, cache, sample)

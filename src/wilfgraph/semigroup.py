@@ -26,6 +26,9 @@ MAX_TABLE = 4_000_000
 # 15.5 s. realize needs m = 9138 at the canonical-labeling cap of 32
 # vertices.
 MAX_MULTIPLICITY = 20_000
+# Most bits _closure may shift, about 2 s on that Xeon: [20000, 40000) cut at
+# MAX_TABLE takes 1.3e10, and its even numbers (no conductor) about 3e11.
+MAX_CLOSURE_WORK = 15_000_000_000
 
 
 _ONE = re.compile("1")
@@ -133,22 +136,28 @@ class NumericalSemigroup:
 
 
 def _closure(gens: list[int], horizon: int) -> int:
-    """Bitmask of the additive closure of ``gens`` over [0, horizon)."""
-    full = (1 << horizon) - 1
-    mask, bits = 1, "1"
+    """Bitmask of the additive closure of the increasing ``gens`` over
+    [0, horizon); mask holds the members below top, and [top, horizon) are
+    all members, so each pass stops at top."""
+    mask, top, view, work = 1, horizon, None, 0
     for a in gens:
-        if bits is None:        # one view per generator added, not per test
-            bits = bin(mask)[:1:-1]     # character x is bit x of mask
-        if bits[a:a + 1] == "1":
+        if a >= top:
+            break               # a and every later generator are members
+        if view is None:        # bit x of mask is bit x & 7 of byte x >> 3
+            view = mask.to_bytes((top + 7) >> 3, "little")
+        if view[a >> 3] >> (a & 7) & 1:
             continue            # a is already a sum of earlier generators
         # <G, a> = <G> + aN by doubling: after the pass with shift s the
-        # mask holds <G> + {0, a, ..., 2s - a}
-        shift = a
-        while shift < horizon:
-            mask |= (mask << shift) & full
-            shift <<= 1
-        bits = None
-    return mask
+        # mask holds <G> + {0, a, ..., 2s - a}, cut at top
+        low, shift = (1 << top) - 1, a
+        while shift < top:
+            mask |= (mask << shift) & low
+            shift, work = shift << 1, work + top
+        if work > MAX_CLOSURE_WORK:
+            raise TooLarge(f"closure over the limit of {MAX_CLOSURE_WORK} bits")
+        top = (~mask & low).bit_length()    # one past the last gap
+        mask, view = mask & ((1 << top) - 1), None
+    return mask | ((1 << horizon) - (1 << top))
 
 
 def _find_conductor(mask: int, m: int) -> int | None:
@@ -171,7 +180,7 @@ def _find_conductor(mask: int, m: int) -> int | None:
 def _add_generators(mask: int, m: int, gens: list[int],
                     candidates) -> list[int]:
     """Append to ``gens`` each candidate x, in increasing order, with no q in
-    gens leaving x - q a member; return gens.
+    gens leaving x - q a member; return gens. Only the sieve calls it.
 
     x is a sum a + b of nonzero members iff some minimal generator q <= a
     leaves x - q = (a - q) + b a nonzero member, so ``gens`` must be the
@@ -214,7 +223,7 @@ def from_generators(gens) -> NumericalSemigroup:
         EmptyGenerators: no generators, or a non-positive one.
         NonCoprimeGenerators: gcd of the generators exceeds 1.
         TooLarge: Schur's bound c <= (a_1 - 1)(a_n - 1) allows a mask over
-            [0, c + a_1) longer than MAX_TABLE.
+            [0, c + a_1) over MAX_TABLE, or a closure over MAX_CLOSURE_WORK.
     """
     gens = _validated(gens)
     g = 0
@@ -247,8 +256,8 @@ def from_generators_truncated(gens, t: int) -> NumericalSemigroup:
     Raises:
         EmptyGenerators: no generators, or a non-positive one.
         InvalidTruncation: t <= 0.
-        TooLarge: t > MAX_TABLE, or multiplicity min(gens[0], t) above
-            MAX_MULTIPLICITY.
+        TooLarge: t > MAX_TABLE, multiplicity min(gens[0], t) above
+            MAX_MULTIPLICITY, or a closure over MAX_CLOSURE_WORK.
     """
     if t <= 0:
         raise InvalidTruncation(f"truncation point must be positive, got {t}")

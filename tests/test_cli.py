@@ -241,14 +241,15 @@ def test_verify_walks_the_tree_once(capsys, monkeypatch):
     # one walk to genus 16 plus the genus-12 list; no second walk to sample
     bound = sum(1 for _ in enumeration.iter_semigroups(16)) + 1413
     calls = 0
-    child = enumeration._child
+    descend = enumeration._descend
 
-    def counted(S, p):
+    def counted(node, cut):
         nonlocal calls
-        calls += 1
-        return child(S, p)
+        for node in descend(node, cut):
+            calls += 1
+            yield node
 
-    monkeypatch.setattr(enumeration, "_child", counted)
+    monkeypatch.setattr(enumeration, "_descend", counted)
     code, _, _ = run(capsys, "verify", "--genus-max", "16", "--workers", "1")
     assert code == 0
     assert calls <= bound
@@ -257,11 +258,11 @@ def test_verify_walks_the_tree_once(capsys, monkeypatch):
 def test_doctored_node_raises_wilf_counterexample(capsys, monkeypatch):
     # {0} u [5, 8) read with m = 3, c = 5 and P = (3,): genus 4 and
     # |P||L| = 1 < c = 5, a node only a broken tree step could produce
-    bad = NumericalSemigroup(0b11100001, 3, 5, (3,))
-    assert bad.genus == 4
+    bad = (0b11100001, 3, 5, 4, (3,))
+    assert NumericalSemigroup(0b11100001, 3, 5, (3,)).genus == bad[3] == 4
     descend = enumeration._descend
     monkeypatch.setattr(enumeration, "_descend",
-                        lambda S, cut: chain(descend(S, cut), [bad]))
+                        lambda node, cut: chain(descend(node, cut), [bad]))
     assert enumeration.run_census(4)[4].wilf_violations == [(3,)]
     with pytest.raises(WilfCounterexample, match=r"failed for \[\(3,\)\]"):
         enumeration.verify_wilf_range(4)

@@ -65,6 +65,19 @@ def test_node_generators_match_oracle():
     assert count == 1 + sum(NG[:11])
 
 
+def test_raw_nodes_are_consistent():
+    # iter_semigroups recomputes the genus from the mask; the walk's own
+    # tuple (mask, m, c, g, gens) must already agree with it
+    count = 0
+    for mask, m, c, g, gens in enumeration._descend(enumeration._ROOT, 16):
+        assert g == c - (mask & ((1 << c) - 1)).bit_count(), gens
+        # every bit in [c, c + m) is set, and none at or above c + m
+        assert mask >> c == (1 << m) - 1, gens
+        assert gens[0] == m, gens
+        count += 1
+    assert count == 1 + sum(NG[:16])
+
+
 def test_stream_order_pinned():
     # the sampler's draws depend on this depth-first order
     assert [S.min_generators for S in iter_semigroups(4)] == [
@@ -251,17 +264,15 @@ def test_census_entry_grows_from_parent():
     # kept exactly when p + m is a minimal generator of the child
     path, cache, grown_cache = {}, {}, {}
     steps = kept = empty_fibers = 0
-    for S in iter_semigroups(16):
-        g, m = S.genus, S.multiplicity
-        scratch = enumeration._graph_entry(S, None, cache)
+    for mask, m, c, g, gens in enumeration._descend(enumeration._ROOT, 16):
+        scratch = enumeration._graph_entry(mask, m, c, None, cache)
         parent = path.get(g - 1)
         if parent is not None:
-            entry = enumeration._graph_entry(S, parent, grown_cache)
-            assert entry == scratch, S
+            entry = enumeration._graph_entry(mask, m, c, parent, grown_cache)
+            assert entry == scratch, gens
             steps += 1
             kept += entry[3] is parent[3]
-            empty_fibers += (parent[0] == m
-                             and S.frobenius + m in S.min_generators)
+            empty_fibers += parent[0] == m and c - 1 + m in gens
         path[g] = scratch
     assert steps == sum(NG[:16])
     assert kept == empty_fibers > 0

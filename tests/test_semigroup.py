@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from wilfgraph import (EmptyGenerators, InvalidTruncation,
                        NonCoprimeGenerators, NumericalSemigroup, TooLarge,
                        analyze, apery_set, from_generators,
                        from_generators_truncated, parse_generators)
-from wilfgraph.semigroup import MAX_MULTIPLICITY, MAX_TABLE
+from wilfgraph.semigroup import MAX_CLOSURE_WORK, MAX_MULTIPLICITY, MAX_TABLE
 
 from oracles import brute_apery, brute_minimal_generators, sieve_members
 
@@ -257,6 +259,30 @@ def test_table_cap():
     # the gcd is checked first
     with pytest.raises(NonCoprimeGenerators):
         from_generators([2 * MAX_TABLE, 4 * MAX_TABLE])
+
+
+def test_many_generator_truncation():
+    # 1000 generators, each a new one, cut at MAX_TABLE: the doubling passes
+    # shrink to the last gap, 5999, once the run fills [4000, 6000)
+    start = time.perf_counter()
+    S = from_generators_truncated(range(2000, 3000), MAX_TABLE)
+    assert time.perf_counter() - start < 5
+    assert S.min_generators == tuple(range(2000, 3000))
+    assert (S.frobenius, S.genus) == (5999, 3000)
+    # members below c + m = 8000: 0, [2000, 3000), [4000, 5999), [6000, 8000)
+    expected = 1
+    for lo, hi in ((2000, 3000), (4000, 5999), (6000, 8000)):
+        expected |= (1 << hi) - (1 << lo)
+    assert S.mask == expected
+
+
+def test_closure_work_cap():
+    # even generators have no conductor, so every doubling pass stays
+    # MAX_TABLE long: 10^4 of them would shift some 3e11 bits
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"limit of {MAX_CLOSURE_WORK} bits"):
+        from_generators_truncated(range(20000, 40000, 2), MAX_TABLE)
+    assert time.perf_counter() - start < 5
 
 
 def test_sieve_and_apery_read_the_mask(monkeypatch):
