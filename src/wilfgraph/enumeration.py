@@ -5,7 +5,8 @@ children of S are S minus one minimal generator exceeding the Frobenius
 number, which raises the genus by exactly one and reaches every semigroup
 exactly once. Each node is a tuple (mask, m, c, g, gens), built from its
 parent's with no sieve, that ``iter_semigroups`` wraps in a
-NumericalSemigroup; the census reads the tuples.
+NumericalSemigroup. The census reads the tuples; with no class keys and no
+sample it walks one genus short and counts the last genus from its parents.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
@@ -214,15 +215,22 @@ def _graph_entry(mask, m, c, parent, cache):
 
 
 def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
-           cache: dict, sample: int = 0) -> None:
+           cache: dict, sample: int = 0, leaves: bool = False) -> None:
     """Add every node of a preorder stream to the census of its genus in
     acc; ``cache`` maps graph signatures to canonical keys. The ``sample``
-    generator tuples of least hash in each genus join its sample."""
+    generator tuples of least hash in each genus join its sample.
+
+    With ``leaves`` the stream ends one genus short of acc's last, which is
+    counted from its parents by _descend's rule; a child's tuple is built
+    only if it fails Wilf. S minus p has c' = p + 1 and |P| generators, one
+    less if a generator q in (m, p) leaves p + m - q (< p) in S, and so in S
+    minus p; the ordinary child has |P| + 1 and c' = m' = m + 1."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
     # genus -> entry of the last node streamed there: genus is depth, so a
     # node's parent, when streamed, is the last node one genus up
     path: dict = {}
     heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
+    last = max(acc) - 1 if leaves else -1
     for mask, m, c, g, gens in nodes:
         n_p = len(gens)
         if n_p * (c - g) < c:           # |L| = c - g
@@ -243,6 +251,28 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
                 heappush(heap, (h, gens))
             elif h > heap[0][0]:        # below the largest hash kept
                 heapreplace(heap, (h, gens))
+        if g == last:
+            g += 1
+            bad = acc[g].wilf_violations
+            if m >= c:                  # the ordinary child
+                k = n_p + 1
+                if k * (m + 1 - g) <= m:
+                    bad.append(gens[1:] + (2 * m, 2 * m + 1))
+                case = (g, k <= 3, True, 2 * k > m, 3 * k > m)
+                cases[case] = cases.get(case, 0) + 1
+            for i in range(n_p - 1, 0, -1):
+                p = gens[i]
+                if p < c:
+                    break
+                x, k = p + m, n_p
+                for j in range(1, i):
+                    if mask >> (x - gens[j]) & 1:
+                        k -= 1
+                        break
+                if k * (p + 1 - g) <= p:
+                    bad.append(gens[:i] + gens[i + 1:] + (x,) * (k == n_p))
+                case = (g, k <= 3, p < 3 * m, 2 * k >= m, 3 * k >= m)
+                cases[case] = cases.get(case, 0) + 1
     for (g, *hits), count in cases.items():
         acc[g].count_ng += count
         hits.append(any(hits))
@@ -269,9 +299,9 @@ def _deal(frontier, workers):
     return [frontier[i::count] for i in range(count)]
 
 
-# (batches, g_max, classes, cache, sample), set only in a forked pool worker:
-# fork hands the batches and the parent's graph-key cache over unpickled, and
-# the worker keeps filling its copy of the cache across its batches
+# (batches, g_max, classes, cache, sample, leaves) of run_census, set only in
+# a forked pool worker: fork hands the batches and the parent's graph-key
+# cache over unpickled, and the worker keeps filling it across its batches
 _batch_state = None
 
 
@@ -281,10 +311,11 @@ def _init_worker(*state):
 
 
 def _batch_job(i):
-    batches, g_max, classes, cache, sample = _batch_state
+    batches, g_max, classes, cache, sample, leaves = _batch_state
     acc = {g: GenusCensus(g) for g in range(batches[i][0][3], g_max + 1)}
-    _tally((node for root in batches[i] for node in _descend(root, g_max)),
-           acc, classes, cache, sample)
+    _tally((node for root in batches[i]
+            for node in _descend(root, g_max - leaves)),
+           acc, classes, cache, sample, leaves)
     return acc
 
 
@@ -295,7 +326,8 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     With workers > 1 the parent tallies the tree above the frontier genus
     and a fork pool tallies the subtrees below it, in batches. Each genus's
     ``sample`` holds its ``sample`` generator tuples of least hash, in
-    increasing hash order (the whole genus when it has fewer).
+    increasing hash order (the whole genus when it has fewer). With neither,
+    genus g_max is counted from its parents (``leaves``), not walked.
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
@@ -307,16 +339,18 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
         raise ValueError(f"sample must be >= 0, got {sample}")
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
+    leaves = not (classes or sample)
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(_ROOT, g_max), acc, classes, cache, sample)
+        _tally(_descend(_ROOT, g_max - leaves), acc, classes, cache, sample,
+               leaves)
     else:
         frontier: list = []
         _tally(_above(split, frontier), acc, classes, cache, sample)
         batches = _deal(frontier, workers)
         with get_context("fork").Pool(
                 workers, _init_worker,
-                (batches, g_max, classes, cache, sample)) as pool:
+                (batches, g_max, classes, cache, sample, leaves)) as pool:
             for part in pool.imap_unordered(_batch_job, range(len(batches))):
                 for g, stats in part.items():
                     acc[g].merge(stats)

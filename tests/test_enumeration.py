@@ -1,9 +1,11 @@
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 from wilfgraph import (BUCKETS, build_graph, enumeration, from_generators,
                        iter_semigroups, run_census, verify_wilf_range)
+from wilfgraph.errors import WilfCounterexample
 
 from oracles import brute_minimal_generators, sieve_members
 
@@ -168,6 +170,56 @@ def test_worker_cap_before_pool(monkeypatch):
     for workers in (0, enumeration.MAX_WORKERS + 1, 100_000):
         with pytest.raises(ValueError):
             run_census(12, workers=workers)
+
+
+@pytest.mark.parametrize("g_max", [0, 1, 2, 10, 16, 18])
+def test_walk_only_census_matches_class_census(g_max):
+    # the class census builds every node of genus g_max; the walk-only
+    # census counts them from their parents, also when the pool's frontier
+    # sits on genus g_max - 1 (g_max = 10)
+    full = run_census(g_max, classes=True)
+    for workers in (1, 2, 3):
+        res = run_census(g_max, workers=workers)
+        for g in range(g_max + 1):
+            assert res[g].count_ng == full[g].count_ng, (g, workers)
+            assert res[g].buckets == full[g].buckets, (g, workers)
+            assert Counter(res[g].wilf_violations) == \
+                Counter(full[g].wilf_violations), (g, workers)
+
+
+def test_walk_only_census_stops_a_genus_short(monkeypatch):
+    # the serial walk builds only the nodes of genus < g_max
+    built = 0
+    descend = enumeration._descend
+
+    def counted(node, cut):
+        nonlocal built
+        for node in descend(node, cut):
+            built += 1
+            yield node
+
+    monkeypatch.setattr(enumeration, "_descend", counted)
+    res = run_census(16)
+    assert built == 1 + sum(NG[:15])
+    assert res[16].count_ng == NG[15]
+
+
+def test_fused_leaf_wilf_counterexample(monkeypatch):
+    # {0, 4, 5} u [6, 10) read with m = 4, c = 6, genus 4 and P = (4, 5, 6):
+    # |P||L| = 6 >= c passes, but its child S minus 6 keeps two generators
+    # (10 = 5 + 5 is a sum), c' = 7 and |L'| = 2, and 2 * 2 < 7 fails
+    bad = (0b1111110001, 4, 6, 4, (4, 5, 6))
+    child = [node[4] for node in enumeration._descend(bad, 5)
+             if node[3] == 5]
+    assert child == [(4, 5)]
+    descend = enumeration._descend
+    monkeypatch.setattr(enumeration, "_descend",
+                        lambda node, cut: chain(descend(node, cut), [bad]))
+    res = run_census(5)
+    assert res[4].wilf_violations == []
+    assert res[5].wilf_violations == child
+    with pytest.raises(WilfCounterexample, match=r"failed for \[\(4, 5\)\]"):
+        verify_wilf_range(5)
 
 
 def test_wilf_verification_small():
