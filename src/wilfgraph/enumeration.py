@@ -26,7 +26,7 @@ from multiprocessing import get_context
 
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
-from .semigraph import neighbor_masks
+from .semigraph import neighbor_masks, positional_rows
 from .semigroup import NumericalSemigroup, apery_mask
 
 GENUS_HARD_CAP = 30
@@ -193,20 +193,8 @@ def _graph_entry(mask, m, c, parent, cache):
         x = apery_mask(mask, m, c)
         adjacency = neighbor_masks(x)
         # the same graph over vertex positions, loops apart, for the labeling
-        position = {1 << a: 1 << i for i, a in enumerate(adjacency)}
-        rows = []
-        loops = 0
-        for i, (a, row) in enumerate(adjacency.items()):
-            if row >> a & 1:
-                loops |= 1 << i
-                row ^= 1 << a
-            out = 0
-            while row:
-                low = row & -row
-                out |= position[low]
-                row ^= low
-            rows.append(out)
-        verts = sum(position)          # the bits 1 << a of the vertices
+        rows, loops = positional_rows(adjacency)
+        verts = sum(1 << a for a in adjacency)
         sig = (len(rows), tuple(rows), loops)
     key = cache.get(sig)
     if key is None:

@@ -56,6 +56,27 @@ class LoopyGraph:
         self._adj = tuple(adj)
         self._loopmask = sum(1 << self._pos[v] for v in self.loops)
 
+    @classmethod
+    def _from_rows(cls, vertices: tuple, rows, loopmask: int) -> "LoopyGraph":
+        """The graph with the positional form given, unchecked: ``vertices``
+        sorted and distinct, row i the positions adjacent to vertex i (never
+        i itself, and symmetric), and every vertex meeting an edge."""
+        G = cls.__new__(cls)
+        G.vertices = vertices
+        G._pos = {v: i for i, v in enumerate(vertices)}
+        G._adj = tuple(rows)
+        G._loopmask = loopmask
+        edges = []
+        for i, row in enumerate(rows):
+            a, row = vertices[i], row >> i + 1
+            while row:
+                low = row & -row
+                edges.append((a, vertices[i + low.bit_length()]))
+                row ^= low
+        G.true_edges = frozenset(edges)
+        G.loops = frozenset(vertices[i] for i in bit_positions(loopmask))
+        return G
+
     # -- basic accessors ---------------------------------------------------
 
     @property

@@ -24,7 +24,8 @@ edges, loops included, raise TooLarge (about a second of analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import Infeasible, InvariantViolation, NotEdgeMaximal, TooLarge
 from .loopy import LoopyGraph, all_loopy_graphs
@@ -35,12 +36,30 @@ _MAX_EDGES = 100
 
 @dataclass(frozen=True)
 class MatchingAnalysis:
-    """Matching-side invariants of a loopy graph."""
+    """Matching-side invariants of a loopy graph.
+
+    The active edges are computed the first time they are read, by solving
+    again on the graph and weak set kept for that: the memo is not kept.
+    """
 
     vm: int
     nu: int
-    active_edges: frozenset
     witness_matching: tuple
+    _graph: LoopyGraph = field(repr=False, compare=False)
+    _weak: frozenset = field(repr=False, compare=False)
+
+    @cached_property
+    def active_edges(self) -> frozenset:
+        """The edges in at least one vertex-maximal matching: e is one iff
+        deleting its ends (with every incident edge) drops vm by exactly the
+        number of vertices e touches. vm is the first objective whatever
+        the bonuses, so one memo answers every query."""
+        G = self._graph
+        edges, triples = _edge_triples(G, self._weak)
+        best, full = _solve(triples, G.n), (1 << G.n) - 1
+        k = best(full)[0]
+        return frozenset(e for e, (mask, touch, _) in zip(edges, triples)
+                         if best(full & ~mask)[0] == k - touch)
 
 
 def check_edge_count(edges: int) -> None:
@@ -136,21 +155,11 @@ def vm(G: LoopyGraph) -> int:
 
 
 def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
-    """Full matching analysis; with no weak edges, nu equals vm.
-
-    An edge e is active, that is in at least one vertex-maximal matching, iff
-    deleting its ends (with every incident edge) drops vm by exactly the
-    number of vertices e touches.
-    """
+    """Full matching analysis; with no weak edges, nu equals vm."""
     weak = frozenset(weak_edges)
     edges, triples = _edge_triples(G, weak)
-    best, full = _solve(triples, G.n), (1 << G.n) - 1
-    k, nu, chosen = best(full)
+    k, nu, chosen = _solve(triples, G.n)((1 << G.n) - 1)
     witness = tuple(edges[i] for i in sorted(chosen))
-    # vm is the first objective whatever the bonuses, so one memo answers
-    # each query: e is active iff G minus its ends reaches k - touch(e)
-    active = frozenset(e for e, (mask, touch, _) in zip(edges, triples)
-                       if best(full & ~mask)[0] == k - touch)
     if not G.loop_count <= k <= G.n:
         raise InvariantViolation(f"vm = {k} outside [{G.loop_count}, {G.n}]")
     if not 0 <= nu <= k:
@@ -158,12 +167,8 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     # every vertex-maximal matching meets all loops
     if not G.loops <= {v for e in witness for v in e}:
         raise InvariantViolation("a vertex-maximal matching misses a loop")
-    return MatchingAnalysis(
-        vm=k,
-        nu=nu,
-        active_edges=active,
-        witness_matching=witness,
-    )
+    return MatchingAnalysis(vm=k, nu=nu, witness_matching=witness,
+                            _graph=G, _weak=weak)
 
 
 def edge_maximal_check(G: LoopyGraph) -> bool:

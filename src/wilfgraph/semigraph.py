@@ -42,13 +42,30 @@ def neighbor_masks(x: int) -> dict[int, int]:
     return out
 
 
+def positional_rows(adjacency: dict[int, int]) -> tuple[list[int], int]:
+    """The graph of ``neighbor_masks`` over vertex positions, the vertices
+    in increasing order: row i holds the positions of the neighbors of the
+    i-th vertex, loops apart, and the loop mask holds the loopy positions."""
+    position = {1 << a: 1 << i for i, a in enumerate(adjacency)}
+    rows = []
+    loops = 0
+    for i, (a, row) in enumerate(adjacency.items()):
+        if row >> a & 1:
+            loops |= 1 << i
+            row ^= 1 << a
+        out = 0
+        while row:
+            low = row & -row
+            out |= position[low]
+            row ^= low
+        rows.append(out)
+    return rows, loops
+
+
 def build_graph(S: NumericalSemigroup) -> LoopyGraph:
     """G(S): edges are pairs of nonzero Apery elements summing into the set."""
-    rows = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
-    edges = [(a, b) for a, row in rows.items()
-             for b in bit_positions(row >> (a + 1) << (a + 1))]
-    loops = [a for a, row in rows.items() if row >> a & 1]
-    return LoopyGraph(rows, edges, loops)
+    adjacency = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
+    return LoopyGraph._from_rows(tuple(adjacency), *positional_rows(adjacency))
 
 
 @dataclass(frozen=True)
@@ -105,15 +122,11 @@ def tau_bound_holds(tau_x: int, q: int, nu: int, n: int, k: int) -> bool:
 # "v is a proper factor of u" means v in S.factors(u): v, u - v lie in S*.
 
 
-def _lengths(S: NumericalSemigroup, top: int) -> dict[int, int]:
-    """len(z) for every member in [m, top]: the largest t with z a sum of t
-    elements of S*."""
-    m = S.multiplicity
-    out: dict[int, int] = {}
-    for z in S.members_below(top + 1):
-        if z >= m:
-            out[z] = max((out[a] + out[z - a] for a in S.factors(z)),
-                         default=1)
+def _bits(values) -> int:
+    """The bitmask with bit v set for each v in values."""
+    out = 0
+    for v in values:
+        out |= 1 << v
     return out
 
 
@@ -123,62 +136,126 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
 
     All entries are True for every numerical semigroup; a False exposes an
     implementation bug, not a mathematical discovery.
+
+    Every set is a bitmask over the integers, bit z for z. Let mem be the
+    members of S below t = c + m and rev its reversal over [0, t): bit i of
+    rev is bit t - 1 - i of mem. For 0 <= z < t, bit a of rev >> (t - 1 - z)
+    is bit a + t - 1 - z of rev, so bit (t - 1) - (a + t - 1 - z) = z - a of
+    mem when a <= z, and 0 when a > z, past the top bit of rev. So the
+    factors of z, the a in [m, z - m] with a and z - a members, are
+    mem & (rev >> (t - 1 - z)) cut to [m, z - m]. X lies below t, and for
+    z in X a factor and its cofactor lie in [m, z - m], below c, where mem
+    and is_member agree. V, the neighborhoods, the degrees and the loops are
+    read from G, turned from vertex positions into such masks.
     """
-    x = apery.apery_x
-    xset = set(x)
-    xd = apery.x_decomposable
-    v_all = set(G.vertices)
-    prim = set(S.min_generators)
-    v_p = v_all & prim
-    v_d = v_all - v_p
-    factors_of = {u: list(S.factors(u)) for u in x}     # V is inside X
-    nbrs = {u: G.neighbors(u) for u in v_all}
+    m, top = S.multiplicity, S.conductor + S.multiplicity - 1
+    mem = S.mask
+    rev = int(bin(mem)[:1:-1].ljust(top + 1, "0"), 2)
+    big = mem >> m << m                         # the members from m on
+    factors = {}
+    x = under = 0
+    for z in apery.apery_x:
+        f = factors[z] = big & rev >> top - z & (1 << z - m + 1) - 1
+        x |= 1 << z
+        under |= f
+
+    verts = G.vertices
+    bits = [1 << v for v in verts]
+    v_all = sum(bits)
+    loops = _bits(G.loops)
+    prim = _bits(S.min_generators)
+    v_d = v_all & ~prim
+    fac = [factors[v] for v in verts]           # V is inside X
+    nbrs, degs = [], []
+    nbhd_ok = True
+    under_v = under_loops = 0                   # the factors of V, of loops
+    for i, row in enumerate(G._adj):
+        under_v |= fac[i]
+        if G._loopmask >> i & 1:
+            under_loops |= fac[i]
+            row |= 1 << i
+        degs.append(row.bit_count())
+        nb = need = 0                   # N(u), and the factors of N(u)
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            nb |= bits[j]
+            need |= fac[j]
+            row ^= low
+        nbrs.append(nb)
+        if need & ~nb:
+            nbhd_ok = False
+    at_most = [0] * (max(degs, default=0) + 1)  # degree <= d, by d
+    for b, d in zip(bits, degs):
+        at_most[d] |= b
+    for d in range(1, len(at_most)):
+        at_most[d] |= at_most[d - 1]
 
     checks: dict[str, bool] = {}
 
-    checks["x_is_downset"] = all(v in xset
-                                 for z in x for v in factors_of[z])
+    checks["x_is_downset"] = not under & ~x
 
-    checks["v_is_downset"] = all(v in v_all
-                                 for u in v_all for v in factors_of[u])
+    checks["v_is_downset"] = not under_v & ~v_all
 
-    checks["neighborhoods_are_downsets"] = all(
-        w in nbrs[u] for u in v_all for y in nbrs[u] for w in factors_of[y])
+    checks["neighborhoods_are_downsets"] = nbhd_ok
 
-    checks["factor_degrees_decrease"] = all(
-        G.degree(v) > G.degree(u)
-        for u in v_all for v in factors_of[u] if v in v_all)
+    checks["factor_degrees_decrease"] = not any(
+        f & at_most[d] for f, d in zip(fac, degs))
 
-    lengths = _lengths(S, max(v_d, default=0))
-    longest = max((lengths[u] for u in v_d), default=0)
-    checks["max_length_nonloopy"] = all(
-        u not in G.loops for u in v_d if lengths[u] == longest)
+    # len(z), for the members z in [m, max(V n D)], is the largest t with z
+    # a sum of t elements of S*: 1, or len(a) + len(z - a) over the factors
+    # a <= z / 2 of z; only a loopy vertex in V n D can make the key False
+    ok = True
+    if v_d & loops:
+        lengths = [0] * v_d.bit_length()
+        rest = big & (1 << v_d.bit_length()) - 1
+        while rest:
+            low = rest & -rest
+            z = low.bit_length() - 1
+            f = big & rev >> top - z & (1 << z // 2 + 1) - 1
+            best = 1
+            while f:
+                a = (f & -f).bit_length() - 1
+                best = max(best, lengths[a] + lengths[z - a])
+                f &= f - 1
+            lengths[z] = best
+            rest ^= low
+        longest = max(lengths[u] for u in bit_positions(v_d))
+        ok = not any(lengths[u] == longest
+                     for u in bit_positions(v_d & loops))
+    checks["max_length_nonloopy"] = ok
 
     # a nonloopy vertex never properly divides a neighbor (z - y in S* fails)
-    checks["nonloopy_divides_no_neighbor"] = all(
-        not S.is_member(z - y)
-        for y in v_all if y not in G.loops
-        for z in nbrs[y])
+    checks["nonloopy_divides_no_neighbor"] = not any(
+        nb & mem << y for y, b, nb in zip(verts, bits, nbrs) if not b & loops)
 
-    checks["factor_of_loopy_is_loopy"] = all(
-        v in G.loops
-        for u in G.loops for v in factors_of[u] if v in v_all)
+    checks["factor_of_loopy_is_loopy"] = not under_loops & v_all & ~loops
 
-    ok = all(len(v_d) >= G.degree(u) for u in v_d)
-    if len(v_d) == 1:       # then N(u) = {u / 2}, a primitive
-        (u,) = v_d
-        ok = ok and u % 2 == 0 and u // 2 in v_p and nbrs[u] == {u // 2}
+    n_d = v_d.bit_count()
+    deg_d = [(u, d, nb) for u, b, d, nb in zip(verts, bits, degs, nbrs)
+             if b & v_d]
+    ok = all(n_d >= d for _, d, _ in deg_d)
+    if n_d == 1:            # then N(u) = {u / 2}, a primitive
+        ((u, _, nb),) = deg_d
+        # u / 2, in N(u), is a vertex: it is in V n P if it is in P
+        ok = (ok and u % 2 == 0 and nb == 1 << u // 2
+              and prim >> u // 2 & 1 == 1)
     checks["v_cap_d_degree_bound"] = ok
 
-    e_total = G.edge_count
+    # u = 2p for a primitive p iff u is even and u / 2 is in P
+    slack = G.edge_count - len(apery.x_decomposable)
     checks["large_difference_bound"] = all(
-        len(xd) <= e_total - G.degree(u)
-        for u in v_d if not any(2 * p == u for p in prim))
+        d <= slack or u % 2 == 0 and prim >> u // 2 & 1 == 1
+        for u, d, _ in deg_d)
 
-    # an edge (a, b), a <= b, joins two primitives or is a leaf b = 2a at a
-    checks["leaf_structure"] = len(xd) != e_total or all(
-        a in v_p and (b in v_p or b == 2 * a and nbrs[b] == {a})
-        for a, b in G.all_edges())
+    # an edge (a, b), a <= b, joins two primitives or is a leaf b = 2a at a:
+    # at each vertex b, the lower ends a <= b are primitives, and either b
+    # is one or N(b) = {b / 2}
+    checks["leaf_structure"] = slack != 0 or all(
+        not nb & (b << 1) - 1 & ~prim
+        and (b & prim or not nb & (b << 1) - 1
+             or u % 2 == 0 and nb == 1 << u // 2)
+        for u, b, nb in zip(verts, bits, nbrs))
 
     return checks
 

@@ -266,3 +266,83 @@ def smallest_multiplicity_per_m(n, min_multiplicity):
     while sidon_offsets_per_m(n, m) is None:
         m += 1
     return m
+
+
+# -- the structural lemma suite, on sets ------------------------------------
+#
+# The set-based suite as it stood before the bitmask rewrite, frozen: the
+# factors of each element, the neighborhoods and the degrees as Python sets,
+# read through the public methods of the semigroup and the graph.
+
+
+def lengths(S, top):
+    """len(z) for every member in [m, top]: the largest t with z a sum of t
+    elements of S*."""
+    m = S.multiplicity
+    out = {}
+    for z in S.members_below(top + 1):
+        if z >= m:
+            out[z] = max((out[a] + out[z - a] for a in S.factors(z)),
+                         default=1)
+    return out
+
+
+def structural_lemma_suite(S, G, apery):
+    """Every key of semigraph.structural_lemma_suite, from the definitions."""
+    x = apery.apery_x
+    xset = set(x)
+    xd = apery.x_decomposable
+    v_all = set(G.vertices)
+    prim = set(S.min_generators)
+    v_p = v_all & prim
+    v_d = v_all - v_p
+    factors_of = {u: list(S.factors(u)) for u in x}     # V is inside X
+    nbrs = {u: G.neighbors(u) for u in v_all}
+
+    checks = {}
+
+    checks["x_is_downset"] = all(v in xset
+                                 for z in x for v in factors_of[z])
+
+    checks["v_is_downset"] = all(v in v_all
+                                 for u in v_all for v in factors_of[u])
+
+    checks["neighborhoods_are_downsets"] = all(
+        w in nbrs[u] for u in v_all for y in nbrs[u] for w in factors_of[y])
+
+    checks["factor_degrees_decrease"] = all(
+        G.degree(v) > G.degree(u)
+        for u in v_all for v in factors_of[u] if v in v_all)
+
+    length = lengths(S, max(v_d, default=0))
+    longest = max((length[u] for u in v_d), default=0)
+    checks["max_length_nonloopy"] = all(
+        u not in G.loops for u in v_d if length[u] == longest)
+
+    # a nonloopy vertex never properly divides a neighbor (z - y in S* fails)
+    checks["nonloopy_divides_no_neighbor"] = all(
+        not S.is_member(z - y)
+        for y in v_all if y not in G.loops
+        for z in nbrs[y])
+
+    checks["factor_of_loopy_is_loopy"] = all(
+        v in G.loops
+        for u in G.loops for v in factors_of[u] if v in v_all)
+
+    ok = all(len(v_d) >= G.degree(u) for u in v_d)
+    if len(v_d) == 1:       # then N(u) = {u / 2}, a primitive
+        (u,) = v_d
+        ok = ok and u % 2 == 0 and u // 2 in v_p and nbrs[u] == {u // 2}
+    checks["v_cap_d_degree_bound"] = ok
+
+    e_total = G.edge_count
+    checks["large_difference_bound"] = all(
+        len(xd) <= e_total - G.degree(u)
+        for u in v_d if not any(2 * p == u for p in prim))
+
+    # an edge (a, b), a <= b, joins two primitives or is a leaf b = 2a at a
+    checks["leaf_structure"] = len(xd) != e_total or all(
+        a in v_p and (b in v_p or b == 2 * a and nbrs[b] == {a})
+        for a, b in G.all_edges())
+
+    return checks

@@ -1,12 +1,16 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
-                       NumericalSemigroup, analyze, analyze_matchings,
-                       build_graph, from_generators, invariant_report,
-                       iter_semigroups, matching, structural_lemma_suite,
-                       tau_bound_holds, weight_analysis)
+                       LoopyGraph, NumericalSemigroup, WilfgraphError, analyze,
+                       analyze_matchings, build_graph, from_generators,
+                       invariant_report, iter_semigroups, matching,
+                       structural_lemma_suite, tau_bound_holds,
+                       weight_analysis)
 
 
 def test_figure_graph(fig_semigroup):
@@ -155,8 +159,10 @@ def test_loopy_decomposable_vertex_below_max_length():
 
 
 def test_build_graph_matches_definition():
-    # {a, b} (a = b allowed) is an edge iff a + b is a nonzero Apery element
-    for S in iter_semigroups(10):
+    # {a, b} (a = b allowed) is an edge iff a + b is a nonzero Apery element;
+    # build_graph fills the positional form directly, and the validating
+    # constructor, given those edges, must build the same graph
+    for S in iter_semigroups(14):
         x = analyze(S).apery_x
         pairs = [(a, b) for i, a in enumerate(x) for b in x[i:]
                  if a + b in x]
@@ -164,6 +170,21 @@ def test_build_graph_matches_definition():
         assert sorted(G.true_edges) == [(a, b) for a, b in pairs if a != b]
         assert sorted(G.loops) == [a for a, b in pairs if a == b]
         assert set(G.vertices) == {v for e in pairs for v in e}
+        H = LoopyGraph({v for e in pairs for v in e},
+                       [(a, b) for a, b in pairs if a != b],
+                       [a for a, b in pairs if a == b])
+        assert G == H and hash(G) == hash(H), S
+        assert (G._pos, G._adj, G._loopmask) == (H._pos, H._adj, H._loopmask)
+
+
+def test_invariant_report_never_reads_active_edges(monkeypatch):
+    def unread(self):
+        raise AssertionError("active_edges read")
+
+    monkeypatch.setattr(matching.MatchingAnalysis, "active_edges",
+                        property(unread))
+    for S in iter_semigroups(12):
+        invariant_report(S)
 
 
 # -- kill table ---------------------------------------------------------------
@@ -256,3 +277,59 @@ def test_kill_table(key, monkeypatch):
         layer = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: change(layer(*args)))
     assert not invariant_report(S)[key]
+
+
+# -- the bitmask suite against the frozen set-based one ----------------------
+
+
+def test_lemma_suite_matches_oracle():
+    for S in iter_semigroups(14):
+        G, ap = build_graph(S), analyze(S)
+        assert structural_lemma_suite(S, G, ap) == \
+            oracles.structural_lemma_suite(S, G, ap), S
+
+
+_SEEDS = list(iter_semigroups(12))
+
+
+@st.composite
+def _pseudo_semigroups(draw):
+    """(small, m, c, gens) for _doctored: the members below c of a
+    semigroup of genus <= 12 with up to three flipped and up to one added
+    below m, and as generators the members from m on that are no sum of two
+    such, with one dropped or one member added at random."""
+    S = draw(st.sampled_from(_SEEDS))
+    m, c = S.multiplicity, S.conductor
+    flips = draw(st.sets(st.integers(min_value=1, max_value=max(c - 1, 1)),
+                         max_size=3))
+    low = draw(st.sets(st.integers(min_value=1, max_value=max(m - 1, 1)),
+                       max_size=1))
+    small = sorted(x for x in set(S.members_below(c)) ^ flips | low if x < c)
+    members = set(small) | set(range(c, c + m))
+    big = sorted(x for x in members if x >= m)
+    gens = [z for z in big if not any(z - a in big for a in big if a < z)]
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and len(gens) > 1:
+        gens.remove(draw(st.sampled_from(gens)))
+    elif change == "add":
+        extra = draw(st.sampled_from(sorted(members - {0})))
+        gens = sorted(set(gens) | {extra})
+    return small, m, c, tuple(gens)
+
+
+# Random search found these two, where a member m - 1 makes z - m + 1 a
+# factor of an Apery element z if the window [m, z - m] is one too wide.
+@settings(max_examples=300, deadline=None)
+@given(_pseudo_semigroups())
+@example(([0, 1], 2, 3, (3, 4)))
+@example(([0, 3], 4, 7, (7, 8, 9, 10)))
+def test_lemma_suite_matches_oracle_on_pseudo_semigroups(inputs):
+    S = _doctored(*inputs)
+    try:
+        ap = analyze(S)
+        G = build_graph(S)
+        matching.analyze(G, weight_analysis(G, ap).weak)
+    except WilfgraphError:
+        return              # invariant_report raises before the suite
+    assert structural_lemma_suite(S, G, ap) == \
+        oracles.structural_lemma_suite(S, G, ap)
