@@ -205,6 +205,17 @@ def loopy_complete(n: int) -> LoopyGraph:
 # loop status) is its twin, rows equal outside {u, v}: (u v) then fixes the
 # base and maps u's subtree onto v's, leaf encodings included. Both prunings
 # drop only repeated encodings, so the minimum, the key, is unchanged.
+#
+# A twin class C, a cell of pairwise twins, is never branched on. The twins
+# of one vertex a are pairwise twins (a ~ b, a !~ c would put b in N(a) =
+# N(c), then c in N[b] = N[a]), so C is a module, a clique or independent
+# set inside. No splitter splits C, {c} splits as C does, and C - {c} sees
+# c alike, so in an equitable partition individualizing c in C splits
+# nothing, before or after other branches. Branching on C walks it in cell
+# order, the twin rule pruning every sibling, and other orders of C,
+# products of twin swaps, encode the same. So the target is the first cell
+# of two or more vertices that is not a twin class, and a partition, the
+# root's included, with none is a leaf.
 
 
 def _refine(cells, adj):
@@ -277,6 +288,19 @@ def _same_orbit(u, v, gens, n):
     return False
 
 
+def _twin_class(cell, adj) -> bool:
+    a, row = cell[0], adj[cell[0]]
+    for b in cell[1:]:
+        if row & ~(1 << b) != adj[b] & ~(1 << a):
+            return False
+    return True
+
+
+def _target(cells, adj):
+    return next((k for k, cell in enumerate(cells)
+                 if len(cell) > 1 and not _twin_class(cell, adj)), None)
+
+
 def check_vertex_count(n: int) -> None:
     """Raise TooLarge if canonical labeling does not take n vertices."""
     if n > _MAX_CANONICAL:
@@ -293,7 +317,10 @@ def _canonical_key(n, adj, loopmask) -> str:
     for v in range(n):
         key = (loopmask >> v & 1, adj[v].bit_count())
         by_color.setdefault(key, []).append(v)
-    initial = [by_color[k] for k in sorted(by_color)]
+    cells = _refine([by_color[k] for k in sorted(by_color)], adj)
+    if _target(cells, adj) is None:     # a leaf: its encoding is the key
+        enc = _encode([v for cell in cells for v in cell], adj, loopmask)
+        return f"{n}:{enc[0]:x}:{enc[1]:x}"
 
     best: tuple[int, int] | None = None
     first: tuple[tuple[int, ...], tuple[int, int]] | None = None
@@ -315,7 +342,7 @@ def _canonical_key(n, adj, loopmask) -> str:
             best = enc
 
     def search(cells, base):
-        target = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
+        target = _target(cells, adj)
         if target is None:
             visit_leaf(tuple(v for cell in cells for v in cell))
             return
@@ -334,7 +361,7 @@ def _canonical_key(n, adj, loopmask) -> str:
             branched = cells[:target] + [[v], rest] + cells[target + 1:]
             search(_refine(branched, adj), base + (v,))
 
-    search(_refine(initial, adj), ())
+    search(cells, ())
     if best is None:
         raise InvariantViolation("canonical search reached no leaf")
     return f"{n}:{best[0]:x}:{best[1]:x}"
@@ -349,12 +376,13 @@ _catalog_cache: dict[int, tuple[LoopyGraph, ...]] = {}
 def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
     """All loopy graphs on exactly n vertices, one per isomorphism class.
 
-    Built by vertex augmentation with canonical-key rejection; intermediate
-    levels keep isolated vertices (any graph arises by deleting its last
-    vertex), the final level drops them to honor the loopy-graph contract.
-    The first-seen child of a class is kept, so skipping a neighbor set with j
-    but not its twin i < j (same loop bit, rows equal outside {i, j}) keeps
-    every representative: swapping i, j gives a smaller set, seen first.
+    Built by vertex augmentation with canonical-key rejection, keeping the
+    first-seen child of each class. Intermediate levels keep isolated
+    vertices (any graph arises by deleting its last vertex); the final level
+    skips a child with one before labeling it, as its whole class has one
+    and is left out. Skipping a neighbor set with j but not its twin i < j
+    (same loop bit, rows equal outside {i, j}) keeps every representative:
+    swapping i, j gives a smaller set, seen first.
     """
     if n < 0 or n > _MAX_CATALOG:
         raise ValueError(f"catalog supports 0 <= n <= {_MAX_CATALOG}, got {n}")
@@ -369,30 +397,22 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
             twins = [(1 << i | 1 << j, 1 << j) for j in range(k - 1)
                      for i in range(j) if loopmask >> i & 1 == loopmask >> j & 1
                      and adj[i] & ~(1 << j) == adj[j] & ~(1 << i)]
+            cover = sum(1 << v for v in range(k - 1) if not adj[v]
+                        and not loopmask >> v & 1) if k == n else 0
             for nbrs in range(1 << (k - 1)):
-                if any(nbrs & pair == bj for pair, bj in twins):
+                if ~nbrs & cover or any(nbrs & p == bj for p, bj in twins):
                     continue
-                grown = [row | new_bit if nbrs >> i & 1 else row
-                         for i, row in enumerate(adj)]
-                grown.append(nbrs)
-                grown = tuple(grown)
-                for loop in (0, new_bit):
+                grown = tuple([row | new_bit if nbrs >> i & 1 else row
+                               for i, row in enumerate(adj)] + [nbrs])
+                for loop in (0, new_bit) if nbrs or k < n else (new_bit,):
                     lm = loopmask | loop
                     key = _canonical_key(k, grown, lm)
                     if key not in nxt:
                         nxt[key] = (grown, lm)
         level = nxt
 
-    graphs = []
-    for key in sorted(level):
-        adj, loopmask = level[key]
-        if any(adj[v] == 0 and not loopmask >> v & 1 for v in range(n)):
-            continue
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if adj[i] >> j & 1]
-        loops = [v for v in range(n) if loopmask >> v & 1]
-        graphs.append(LoopyGraph(range(n) if n else (), edges, loops))
-    _catalog_cache[n] = tuple(graphs)
+    _catalog_cache[n] = tuple(LoopyGraph._from_rows(tuple(range(n)), *level[k])
+                              for k in sorted(level))
     return _catalog_cache[n]
 
 

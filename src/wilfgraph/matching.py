@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 from .errors import Infeasible, InvariantViolation, NotEdgeMaximal, TooLarge
 from .loopy import LoopyGraph, all_loopy_graphs
@@ -193,23 +194,17 @@ def extremal_edge_search(n: int, k: int, loops: int | None = None
                          ) -> tuple[int, tuple[LoopyGraph, ...]]:
     """Maximum edge count over loopy graphs on n vertices with vm = k.
 
-    Exhausts the isomorph-rejected catalog (n <= 6), optionally restricted to
-    a fixed number of loops. Returns the maximum together with every witness
-    attaining it. Raises Infeasible when no graph matches.
+    Walks the isomorph-rejected catalog (n <= 6), optionally restricted to a
+    fixed number of loops, by decreasing edge count up to the first count
+    with vm = k, and returns it with its witnesses in catalog order. Raises
+    Infeasible when no graph matches.
     """
-    best = -1
-    witnesses: list[LoopyGraph] = []
-    for G in all_loopy_graphs(n):
-        if loops is not None and G.loop_count != loops:
-            continue
-        if vm(G) != k:
-            continue
-        if G.edge_count > best:
-            best = G.edge_count
-            witnesses = [G]
-        elif G.edge_count == best:
-            witnesses.append(G)
-    if best < 0:
-        raise Infeasible(f"no loopy graph on {n} vertices has vm = {k}"
-                         + (f" with {loops} loops" if loops is not None else ""))
-    return best, tuple(witnesses)
+    graphs = [G for G in all_loopy_graphs(n)
+              if loops is None or G.loop_count == loops]
+    graphs.sort(key=lambda G: -G.edge_count)       # stable: catalog order
+    for edges, group in groupby(graphs, key=lambda G: G.edge_count):
+        witnesses = tuple(G for G in group if vm(G) == k)
+        if witnesses:
+            return edges, witnesses
+    raise Infeasible(f"no loopy graph on {n} vertices has vm = {k}"
+                     + (f" with {loops} loops" if loops is not None else ""))

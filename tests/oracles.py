@@ -238,6 +238,36 @@ def catalog_unpruned(n):
     return graphs
 
 
+# -- extremal edge counts ----------------------------------------------------
+#
+# The extremal search as the plain loop over the whole catalog, before it
+# walked the catalog by decreasing edge count and stopped at the first count
+# with a witness. It takes the catalog and vm from the package, which the
+# oracles above check; what it pins is the search order and the witnesses.
+
+
+def extremal_plain(n, k, loops=None):
+    """(best, witnesses) over the catalog on n vertices with vm = k."""
+    from wilfgraph import Infeasible, all_loopy_graphs, vm
+
+    best = -1
+    witnesses = []
+    for G in all_loopy_graphs(n):
+        if loops is not None and G.loop_count != loops:
+            continue
+        if vm(G) != k:
+            continue
+        if G.edge_count > best:
+            best = G.edge_count
+            witnesses = [G]
+        elif G.edge_count == best:
+            witnesses.append(G)
+    if best < 0:
+        raise Infeasible(f"no loopy graph on {n} vertices has vm = {k}"
+                         + (f" with {loops} loops" if loops is not None else ""))
+    return best, tuple(witnesses)
+
+
 # -- realization multiplicity -------------------------------------------------
 #
 # The greedy Sidon search as it was before it was computed once from 0 and

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wilfgraph import (LoopyGraph, TooLarge, all_loopy_graphs, build_graph,
                        iter_semigroups, loopy_complete, random_loopy_graph)
-from wilfgraph.loopy import _canonical_key, _refine
+from wilfgraph.loopy import _canonical_key, _refine, _target, _twin_class
 
 from oracles import _refine as plain_refine
 from oracles import brute_isomorphic, canonical_key_unpruned, catalog_unpruned
@@ -272,9 +272,28 @@ def test_keys_match_unpruned_on_shrikhande_and_rook():
         assert H.canonical_key() == _unpruned_key(H) == key
 
 
+def test_twin_class():
+    # a looped clique of twins and the leaves of a star are twin classes,
+    # so a partition of them and singletons is a leaf; the 4-cycle's one
+    # degree cell is not, though its first two vertices are twins
+    lk4 = loopy_complete(4)
+    star = LoopyGraph(range(4), [(0, 1), (0, 2), (0, 3)])
+    c4 = LoopyGraph(range(4), [(0, 2), (2, 1), (1, 3), (3, 0)])
+    assert _twin_class([0, 1, 2, 3], lk4._adj)
+    assert _target(_refine([[0, 1, 2, 3]], lk4._adj), lk4._adj) is None
+    assert _twin_class([1, 2, 3], star._adj)
+    assert _target(_refine([[1, 2, 3], [0]], star._adj), star._adj) is None
+    cells = _refine([[0, 1, 2, 3]], c4._adj)
+    assert cells == [[0, 1, 2, 3]]
+    assert not _twin_class(cells[0], c4._adj)
+    assert _target(cells, c4._adj) == 0
+    for G in (lk4, star, c4):
+        assert G.canonical_key() == _unpruned_key(G)
+
+
 def test_catalog_matches_unpruned():
     # same representatives, labels and order as trying every neighbor set
-    for n in range(6):
+    for n in range(7):
         assert [g.to_json() for g in all_loopy_graphs(n)] == \
             catalog_unpruned(n)
 

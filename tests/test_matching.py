@@ -14,7 +14,7 @@ from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
 from wilfgraph.matching import (_DP_MAX_VERTICES, _MAX_EDGES, _edge_triples,
                                 _solve_bb, _solve_blossom)
 
-from oracles import brute_matching_stats
+from oracles import brute_matching_stats, extremal_plain
 
 
 def test_vm_basics():
@@ -206,6 +206,24 @@ def test_extremal_infeasible():
         extremal_edge_search(3, 5)
     with pytest.raises(Infeasible):
         extremal_edge_search(2, 1)
+
+
+def _extremal_or_message(search, n, k, loops):
+    try:
+        return search(n, k, loops)
+    except Infeasible as exc:
+        return str(exc)
+
+
+def test_extremal_matches_plain_loop():
+    # walking the catalog by decreasing edge count and stopping at the first
+    # count with a witness gives the plain loop's maximum, witnesses in
+    # catalog order, and Infeasible message
+    cases = [(n, k, loops) for n in range(6) for k in range(n + 2)
+             for loops in [None, *range(n + 1)]] + [(6, 4, None)]
+    for n, k, loops in cases:
+        assert _extremal_or_message(extremal_edge_search, n, k, loops) == \
+            _extremal_or_message(extremal_plain, n, k, loops), (n, k, loops)
 
 
 def test_analyze_builds_one_solver(monkeypatch):
