@@ -7,8 +7,7 @@ from .errors import (EmptyGenerators, Infeasible, InconsistentDepths,
                      InvalidTruncation, InvariantViolation, NonCoprimeGenerators,
                      NotAMember, NotEdgeMaximal, RealizationFailed, TooLarge,
                      WilfCounterexample, WilfgraphError, WindowTooSmall)
-from .loopy import (LoopyGraph, all_loopy_graphs, loopy_complete,
-                    random_loopy_graph)
+from .loopy import LoopyGraph, all_loopy_graphs, loopy_complete
 from .matching import (MatchingAnalysis, analyze as analyze_matchings,
                        edge_maximal_check, extremal_edge_search, vm)
 from .realize import (RealizationPlan, plan_with_offsets, realize,
@@ -33,8 +32,8 @@ __all__ = [
     "build_graph", "depth", "edge_maximal_check", "extremal_edge_search",
     "format_generators", "from_generators", "from_generators_truncated",
     "invariant_report", "iter_semigroups", "loopy_complete",
-    "parse_generators", "plan_with_offsets", "random_loopy_graph",
-    "realize", "report", "run_census", "sidon_offsets",
-    "structural_lemma_suite", "tau_bound_holds", "verify_realization",
-    "verify_wilf_range", "vm", "weight_analysis", "wilf_w",
+    "parse_generators", "plan_with_offsets", "realize", "report",
+    "run_census", "sidon_offsets", "structural_lemma_suite",
+    "tau_bound_holds", "verify_realization", "verify_wilf_range", "vm",
+    "weight_analysis", "wilf_w",
 ]

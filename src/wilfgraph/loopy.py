@@ -1,8 +1,8 @@
 """Loopy graphs: finite graphs with loops, no multi-edges, no isolated vertices.
 
 Provides the graph type, JSON/DOT serialization, canonical labeling (loop
-status acts as a vertex color), an isomorph-rejected catalog of all loopy
-graphs on few vertices, and a seeded random generator for sampled suites.
+status acts as a vertex color), and an isomorph-rejected catalog of all
+loopy graphs on few vertices.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ class LoopyGraph:
                               set(self.loops) | {a})
         return LoopyGraph(self.vertices, set(self.true_edges) | {(a, b)},
                           self.loops)
-
-    def relabeled(self, mapping) -> "LoopyGraph":
-        return LoopyGraph([mapping[v] for v in self.vertices],
-                          [(mapping[a], mapping[b]) for a, b in self.true_edges],
-                          [mapping[v] for v in self.loops])
 
     # -- serialization -----------------------------------------------------
 
@@ -414,23 +409,3 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
     _catalog_cache[n] = tuple(LoopyGraph._from_rows(tuple(range(n)), *level[k])
                               for k in sorted(level))
     return _catalog_cache[n]
-
-
-def random_loopy_graph(rng, min_vertices=2, max_vertices=8, max_edges=12
-                       ) -> LoopyGraph:
-    """Seeded random loopy graph with at most ``max_edges`` edges."""
-    while True:
-        n = rng.randint(min_vertices, max_vertices)
-        candidates = [(i, j) for i in range(n) for j in range(i, n)]
-        rng.shuffle(candidates)
-        count = rng.randint(1, max_edges)
-        chosen = candidates[:count]
-        edges = [(a, b) for a, b in chosen if a != b]
-        loops = [a for a, b in chosen if a == b]
-        touched = sorted({v for e in edges for v in e} | set(loops))
-        if not touched:
-            continue
-        relabel = {v: i for i, v in enumerate(touched)}
-        return LoopyGraph(range(len(touched)),
-                          [(relabel[a], relabel[b]) for a, b in edges],
-                          [relabel[v] for v in loops])

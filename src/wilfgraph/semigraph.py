@@ -112,6 +112,44 @@ def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
                           frozenset(x0), frozenset(weak))
 
 
+# (n, packed positional graph and weak set) -> (vm, nu), per process; cleared
+# when full, so a long walk holds at most this many entries
+_MATCHING_CACHE_MAX = 1 << 16
+_matching_cache: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _matching_numbers(G: LoopyGraph, weak: frozenset) -> tuple[int, int]:
+    """(vm, nu) of G with these weak edges, solved once per positional form.
+
+    The key packs G's positional form into one int beside n: row i of _adj
+    at bits [i n, (i + 1) n), the loop mask at [n^2, n^2 + n), and above
+    those one bit at pos[a] n + pos[b] for each weak edge (a, b). Given n
+    each part has its own bits, so the key is injective.
+
+    The cached pair is what matching.analyze would return. Positions are
+    monotone in labels, so the edge order of _edge_triples (sorted true
+    edges, then loops) is the order of their position pairs. Each triple's
+    mask and touch come from positions and its bonus from the weak bit. So
+    the triples, the edge cap, the solver's optimum and chosen indices, and
+    with them every raise of analyze (the loops a witness covers are read
+    off those indices) depend on the key alone. A miss that raises caches
+    nothing, so the same key raises again.
+    """
+    n, pos = G.n, G._pos
+    key = G._loopmask
+    for row in reversed(G._adj):
+        key = key << n | row
+    for a, b in weak:
+        key |= 1 << n * (n + 1 + pos[a]) + pos[b]
+    hit = _matching_cache.get((n, key))
+    if hit is None:
+        ma = matching.analyze(G, weak)
+        if len(_matching_cache) >= _MATCHING_CACHE_MAX:
+            _matching_cache.clear()
+        hit = _matching_cache[n, key] = ma.vm, ma.nu
+    return hit
+
+
 def tau_bound_holds(tau_x: int, q: int, nu: int, n: int, k: int) -> bool:
     """tau(X) >= (k(q - 1) + nu)/2 + (n - k), compared in integers."""
     return 2 * tau_x >= k * (q - 1) + nu + 2 * (n - k)
@@ -311,8 +349,8 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     }
 
     G = build_graph(S)
-    ma = matching.analyze(G, weight_analysis(G, ap).weak)
-    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, ma.nu, G.n, ma.vm)
+    vm, nu = _matching_numbers(G, weight_analysis(G, ap).weak)
+    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, G.n, vm)
 
     checks.update(structural_lemma_suite(S, G, ap))
     return checks

@@ -85,10 +85,6 @@ class NumericalSemigroup:
         low = self.mask & ((1 << max(min(bound, c), 0)) - 1)
         return bit_positions(low) + list(range(c, bound))
 
-    def gaps(self) -> list[int]:
-        """The complement of S in the nonnegative integers."""
-        return bit_positions(~self.mask & ((1 << self.conductor) - 1))
-
     def divides(self, a: int, b: int) -> bool:
         """The relation a <= b in S, i.e. b - a is a member."""
         return self.is_member(b - a)
@@ -111,15 +107,6 @@ class NumericalSemigroup:
     def primitives(self) -> set[int]:
         """The set P of minimal generators, equal to S* minus (S* + S*)."""
         return set(self.min_generators)
-
-    def decomposables_below(self, bound: int) -> set[int]:
-        """Elements of D = S* + S* lying in [0, bound)."""
-        return {x for x in self.members_below(bound)
-                if next(self.factors(x), None) is not None}
-
-    def small_elements(self) -> set[int]:
-        """The set L of members smaller than the conductor."""
-        return set(self.members_below(self.conductor))
 
     # -- plumbing ----------------------------------------------------------
 

@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive: plain sieves, exhaustive enumeration
 of matchings, and permutation search for isomorphism. None of it shares code
-with the package internals it validates.
+with the package internals it validates. The test-only helpers at the end
+(gaps, L and D of a semigroup, relabeling, random graphs) read a semigroup
+through is_member and build graphs through the public LoopyGraph.
 """
 
 from itertools import islice, permutations
+
+from wilfgraph import LoopyGraph
 
 
 def sieve_members(gens, horizon):
@@ -376,3 +380,49 @@ def structural_lemma_suite(S, G, apery):
         for a, b in G.all_edges())
 
     return checks
+
+
+# -- test-only helpers ---------------------------------------------------------
+
+
+def gaps(S):
+    """The complement of S in the nonnegative integers, increasing."""
+    return [x for x in range(S.conductor) if not S.is_member(x)]
+
+
+def small_elements(S):
+    """The set L of members smaller than the conductor."""
+    return {x for x in range(S.conductor) if S.is_member(x)}
+
+
+def decomposables_below(S, bound):
+    """The elements of D = S* + S* in [0, bound), by trying every split."""
+    return {x for x in range(bound)
+            if any(S.is_member(a) and S.is_member(x - a)
+                   for a in range(1, x))}
+
+
+def relabeled(G, mapping):
+    """G with each vertex v renamed mapping[v]."""
+    return LoopyGraph([mapping[v] for v in G.vertices],
+                      [(mapping[a], mapping[b]) for a, b in G.true_edges],
+                      [mapping[v] for v in G.loops])
+
+
+def random_loopy_graph(rng, min_vertices=2, max_vertices=8, max_edges=12):
+    """Seeded random loopy graph with at most ``max_edges`` edges."""
+    while True:
+        n = rng.randint(min_vertices, max_vertices)
+        candidates = [(i, j) for i in range(n) for j in range(i, n)]
+        rng.shuffle(candidates)
+        count = rng.randint(1, max_edges)
+        chosen = candidates[:count]
+        edges = [(a, b) for a, b in chosen if a != b]
+        loops = [a for a, b in chosen if a == b]
+        touched = sorted({v for e in edges for v in e} | set(loops))
+        if not touched:
+            continue
+        relabel = {v: i for i, v in enumerate(touched)}
+        return LoopyGraph(range(len(touched)),
+                          [(relabel[a], relabel[b]) for a, b in edges],
+                          [relabel[v] for v in loops])

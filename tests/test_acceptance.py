@@ -11,11 +11,11 @@ import pytest
 from wilfgraph import (LoopyGraph, all_loopy_graphs, analyze, analyze_matchings,
                        build_graph, extremal_edge_search, from_generators,
                        invariant_report, iter_semigroups, loopy_complete,
-                       plan_with_offsets, random_loopy_graph, realize,
+                       plan_with_offsets, realize,
                        run_census, verify_realization, weight_analysis)
 from wilfgraph.cli import main
 
-from oracles import brute_matching_stats
+from oracles import brute_matching_stats, random_loopy_graph
 
 NG_TABLE = [1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
             2857, 4806, 8045, 13467, 22464, 37396]

@@ -9,12 +9,11 @@ import wilfgraph
 from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
                        NotEdgeMaximal, TooLarge, all_loopy_graphs,
                        analyze_matchings, edge_maximal_check,
-                       extremal_edge_search, loopy_complete,
-                       random_loopy_graph, vm)
+                       extremal_edge_search, loopy_complete, vm)
 from wilfgraph.matching import (_DP_MAX_VERTICES, _MAX_EDGES, _edge_triples,
                                 _solve_bb, _solve_blossom)
 
-from oracles import brute_matching_stats, extremal_plain
+from oracles import brute_matching_stats, extremal_plain, random_loopy_graph
 
 
 def test_vm_basics():

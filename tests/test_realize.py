@@ -5,10 +5,11 @@ import pytest
 
 from wilfgraph import (LoopyGraph, WindowTooSmall, all_loopy_graphs,
                        build_graph, from_generators, from_generators_truncated,
-                       loopy_complete, plan_with_offsets, random_loopy_graph,
-                       realize, run_census, sidon_offsets, verify_realization)
+                       loopy_complete, plan_with_offsets, realize,
+                       run_census, sidon_offsets, verify_realization)
 
-from oracles import sidon_offsets_per_m, smallest_multiplicity_per_m
+from oracles import (random_loopy_graph, sidon_offsets_per_m,
+                     smallest_multiplicity_per_m)
 
 
 def test_sidon_offsets_window():

@@ -9,7 +9,7 @@ from wilfgraph import (AperyAnalysis, InconsistentDepths, InvariantViolation,
                        LoopyGraph, NumericalSemigroup, WilfgraphError, analyze,
                        analyze_matchings, build_graph, from_generators,
                        invariant_report, iter_semigroups, matching,
-                       structural_lemma_suite, tau_bound_holds,
+                       semigraph, structural_lemma_suite, tau_bound_holds,
                        weight_analysis)
 
 
@@ -273,6 +273,9 @@ def test_kill_table(key, monkeypatch):
     else:
         S = from_generators([3, 7])
         assert invariant_report(S)[key]     # False only through the change
+        # that call cached <3, 7>'s matching numbers; an empty cache makes
+        # the next call reach the changed layer
+        monkeypatch.setattr(semigraph, "_matching_cache", {})
         module, name, change = _PATCHED[key]
         layer = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: change(layer(*args)))
@@ -333,3 +336,49 @@ def test_lemma_suite_matches_oracle_on_pseudo_semigroups(inputs):
         return              # invariant_report raises before the suite
     assert structural_lemma_suite(S, G, ap) == \
         oracles.structural_lemma_suite(S, G, ap)
+
+
+# -- the matching cache ---------------------------------------------------------
+
+
+def test_matching_cache_matches_fresh_solves(monkeypatch):
+    # in stream order, so most lookups hit what earlier semigroups cached
+    monkeypatch.setattr(semigraph, "_matching_cache", {})
+    count = 0
+    for S in iter_semigroups(15):
+        G = build_graph(S)
+        weak = weight_analysis(G, analyze(S)).weak
+        ma = matching.analyze(G, weak)
+        assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu), S
+        count += 1
+    assert count == 6964
+    assert len(semigraph._matching_cache) == 1569
+
+
+def test_matching_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(semigraph, "_matching_cache", {})
+    monkeypatch.setattr(semigraph, "_MATCHING_CACHE_MAX", 3)
+    for S in iter_semigroups(8):
+        G = build_graph(S)
+        weak = weight_analysis(G, analyze(S)).weak
+        ma = matching.analyze(G, weak)
+        assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu), S
+        assert len(semigraph._matching_cache) <= 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pseudo_semigroups())
+def test_matching_cache_on_pseudo_semigroups(inputs):
+    S = _doctored(*inputs)
+    try:
+        G = build_graph(S)
+        weak = weight_analysis(G, analyze(S)).weak
+    except WilfgraphError:
+        return              # invariant_report raises before the matching
+    try:
+        ma = matching.analyze(G, weak)
+    except WilfgraphError as exc:
+        with pytest.raises(type(exc)):
+            semigraph._matching_numbers(G, weak)
+        return
+    assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu)

@@ -10,7 +10,8 @@ from wilfgraph import (EmptyGenerators, InvalidTruncation,
                        from_generators_truncated, parse_generators)
 from wilfgraph.semigroup import MAX_CLOSURE_WORK, MAX_MULTIPLICITY, MAX_TABLE
 
-from oracles import brute_apery, brute_minimal_generators, sieve_members
+from oracles import (brute_apery, brute_minimal_generators,
+                     decomposables_below, gaps, sieve_members, small_elements)
 
 
 def _assert_matches_oracles(S, members, horizon):
@@ -20,7 +21,7 @@ def _assert_matches_oracles(S, members, horizon):
     c = max(gaps, default=-1) + 1
     assert S.conductor == c
     assert S.genus == len(gaps)
-    assert len(S.small_elements()) == sum(1 for x in members if x < c)
+    assert len(small_elements(S)) == sum(1 for x in members if x < c)
     assert list(S.min_generators) == brute_minimal_generators(members)
     m = min(members - {0})
     assert list(apery_set(S)) == brute_apery(members, m)
@@ -37,7 +38,7 @@ def test_natural_numbers():
     S = from_generators([1])
     assert (S.multiplicity, S.conductor, S.genus) == (1, 0, 0)
     assert S.min_generators == (1,)
-    assert S.small_elements() == set()
+    assert small_elements(S) == set()
 
 
 def test_two_three():
@@ -47,8 +48,8 @@ def test_two_three():
     assert S.min_generators == (2, 3)
     assert not S.is_member(1)
     assert S.is_member(0)
-    assert S.small_elements() == {0}
-    assert S.gaps() == [1]
+    assert small_elements(S) == {0}
+    assert gaps(S) == [1]
 
 
 def test_figure_example_basics(fig_semigroup):
@@ -91,7 +92,7 @@ def test_primitive_decomposable_partition():
     S = from_generators([5, 7, 9])
     bound = S.conductor + S.multiplicity
     prim = S.primitives()
-    dec = S.decomposables_below(bound)
+    dec = decomposables_below(S, bound)
     assert prim & dec == set()
     assert prim | dec == set(S.members_below(bound)) - {0}
     assert prim == {5, 7, 9}
@@ -100,7 +101,7 @@ def test_primitive_decomposable_partition():
 def test_primitives_two_three():
     S = from_generators([2, 3])
     assert S.primitives() == {2, 3}
-    assert S.decomposables_below(10) == {4, 5, 6, 7, 8, 9}
+    assert decomposables_below(S, 10) == {4, 5, 6, 7, 8, 9}
 
 
 def test_partition_exhaustive_low_genus():
@@ -108,7 +109,7 @@ def test_partition_exhaustive_low_genus():
     for S in iter_semigroups(10):
         # the window covering P even in the degenerate case S = N
         bound = max(S.conductor + S.multiplicity, S.multiplicity + 1)
-        prim, dec = S.primitives(), S.decomposables_below(bound)
+        prim, dec = S.primitives(), decomposables_below(S, bound)
         assert prim & dec == set()
         assert prim | dec == set(S.members_below(bound)) - {0}
 
@@ -144,7 +145,7 @@ def test_truncated_even_powers():
     S = from_generators_truncated([2], 5)
     assert S.multiplicity == 2
     assert S.conductor == 4
-    assert S.gaps() == [1, 3]
+    assert gaps(S) == [1, 3]
     assert S.min_generators == (2, 5)
 
 
@@ -179,7 +180,7 @@ def test_two_generator_wilf_tight():
     from wilfgraph import wilf_w
     for a, b in [(2, 5), (3, 7), (4, 9), (7, 8)]:
         S = from_generators([a, b])
-        assert 2 * len(S.small_elements()) == S.conductor
+        assert 2 * len(small_elements(S)) == S.conductor
         assert wilf_w(S) == 0
 
 
