@@ -57,9 +57,9 @@ def analyze(S: NumericalSemigroup) -> AperyAnalysis:
     rho = q * m - c
     x = apery_set(S)
     depth_of = {v: -((v - c) // m) for v in (0, *x)}     # depth(0) = q
-    tau = sum(depth_of[v] for v in x)
+    tau = sum(depth_of.values()) - q
     prim = frozenset(S.min_generators)
-    x_dec = frozenset(v for v in x if v not in prim)
+    x_dec = frozenset(x).difference(prim)
     w = len(prim) * tau - len(x_dec) * q + rho
     if w != wilf_w(S):
         raise InvariantViolation(f"W(S) is {wilf_w(S)} but the Apery formula "

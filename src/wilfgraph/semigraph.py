@@ -7,11 +7,14 @@ Apery elements; depths classify edges as weak (depth sum q - 1) or normal.
 The provable inequalities and structural statements that a wrong mask, wrong
 generators or a wrong layer can falsify are exposed here as checkable
 predicates: each holds for every semigroup, so any False is a bug detector.
+invariant_report checks them all in one pass over G(S) by vertex positions,
+and builds a labeled LoopyGraph only when its matching cache misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import matching
 from .apery import AperyAnalysis, analyze as apery_analyze
@@ -78,6 +81,47 @@ class WeightAnalysis:
     weak: frozenset
 
 
+def _edge_pass(verts, rows, loops, apery: AperyAnalysis):
+    """weight_analysis on G over positions (``verts`` its vertices in
+    increasing order, ``rows`` and ``loops`` from positional_rows): the
+    bitmask of X0 and the weak edges as position pairs (i, j), i <= j. The
+    edges go in the order of G.all_edges(), so a raise names the same first
+    failing edge: the true edges (i, j), i < j, in order (positions are
+    monotone in labels), then the loops."""
+    pairs = []
+    for i, row in enumerate(rows):
+        row >>= i + 1
+        while row:
+            low = row & -row
+            pairs.append((i, i + low.bit_length()))
+            row ^= low
+    pairs += [(i, i) for i in range(len(rows)) if loops >> i & 1]
+    q, rho, depth_of = apery.depth_q, apery.rho, apery.depth_of
+    floor = q - min(rho, 1)
+    weights = x0 = 0
+    weak = []
+    for i, j in pairs:
+        a, b = verts[i], verts[j]
+        s = depth_of[a] + depth_of[b]
+        if s < floor:
+            raise InconsistentDepths(
+                f"edge ({a}, {b}) has depth sum {s} < {floor}")
+        z = a + b
+        weights |= 1 << z
+        if s == q - 1:
+            weak.append((i, j))
+        if s == depth_of[z] + q - 1:
+            x0 |= 1 << z
+    if weights != sum(1 << z for z in apery.x_decomposable):
+        raise InvariantViolation("edge weights do not map onto X n D")
+    if x0.bit_count() > rho:
+        raise InvariantViolation(f"|X0| = {x0.bit_count()} exceeds rho = {rho}")
+    if len({verts[i] + verts[j] for i, j in weak}) > rho:
+        raise InvariantViolation(f"weak edges have more than rho = {rho} "
+                                 f"weights")
+    return x0, weak
+
+
 def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
     """Weights wt({x, y}) = x + y with fibers over the decomposable Apery set.
 
@@ -86,30 +130,14 @@ def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
     Raises InconsistentDepths if any edge has depth sum below q - min(rho, 1),
     which no associated graph can exhibit.
     """
+    verts = G.vertices
+    x0, weak = _edge_pass(verts, G._adj, G._loopmask, apery)
     fibers: dict[int, set] = {}
-    x0, weak = set(), set()
-    q, depth_of = apery.depth_q, apery.depth_of
-    floor = q - min(apery.rho, 1)
     for a, b in G.all_edges():
-        z = a + b
-        fibers.setdefault(z, set()).add((a, b))
-        s = depth_of[a] + depth_of[b]
-        if s < floor:
-            raise InconsistentDepths(
-                f"edge ({a}, {b}) has depth sum {s} < {floor}")
-        if s == q - 1:
-            weak.add((a, b))
-        if s == depth_of[z] + q - 1:
-            x0.add(z)
-    if set(fibers) != apery.x_decomposable:
-        raise InvariantViolation("edge weights do not map onto X n D")
-    if len(x0) > apery.rho:
-        raise InvariantViolation(f"|X0| = {len(x0)} exceeds rho = {apery.rho}")
-    if len({a + b for a, b in weak}) > apery.rho:
-        raise InvariantViolation(f"weak edges have more than rho = "
-                                 f"{apery.rho} weights")
+        fibers.setdefault(a + b, set()).add((a, b))
     return WeightAnalysis({z: frozenset(es) for z, es in fibers.items()},
-                          frozenset(x0), frozenset(weak))
+                          frozenset(bit_positions(x0)),
+                          frozenset((verts[i], verts[j]) for i, j in weak))
 
 
 # (n, packed positional graph and weak set) -> (vm, nu), per process; cleared
@@ -118,32 +146,33 @@ _MATCHING_CACHE_MAX = 1 << 16
 _matching_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _matching_numbers(G: LoopyGraph, weak: frozenset) -> tuple[int, int]:
-    """(vm, nu) of G with these weak edges, solved once per positional form.
+def _matching_numbers(verts, rows, loops, weak) -> tuple[int, int]:
+    """(vm, nu) of G over positions and the weak edges of _edge_pass, cached.
 
-    The key packs G's positional form into one int beside n: row i of _adj
-    at bits [i n, (i + 1) n), the loop mask at [n^2, n^2 + n), and above
-    those one bit at pos[a] n + pos[b] for each weak edge (a, b). Given n
-    each part has its own bits, so the key is injective.
+    The key packs G's positional form into one int beside n: row i at bits
+    [i n, (i + 1) n), the loop mask at [n^2, n^2 + n), and above those one
+    bit at (n + 1 + i) n + j for each weak edge (i, j). Given n each part has
+    its own bits, so the key is injective.
 
-    The cached pair is what matching.analyze would return. Positions are
-    monotone in labels, so the edge order of _edge_triples (sorted true
-    edges, then loops) is the order of their position pairs. Each triple's
-    mask and touch come from positions and its bonus from the weak bit. So
-    the triples, the edge cap, the solver's optimum and chosen indices, and
-    with them every raise of analyze (the loops a witness covers are read
-    off those indices) depend on the key alone. A miss that raises caches
-    nothing, so the same key raises again.
+    The cached pair is what matching.analyze returns on the LoopyGraph and
+    weak label pairs that a miss builds. Positions are monotone in labels,
+    so the edge order of _edge_triples (sorted true edges, then loops) is
+    the order of their position pairs. Each triple's mask and touch come
+    from positions and its bonus from the weak bit. So the triples, the
+    edge cap, the solver's optimum and chosen indices, and with them every
+    raise of analyze (the loops a witness covers are read off those
+    indices) depend on the key alone. A miss that raises caches nothing.
     """
-    n, pos = G.n, G._pos
-    key = G._loopmask
-    for row in reversed(G._adj):
+    n = len(verts)
+    key = loops
+    for row in reversed(rows):
         key = key << n | row
-    for a, b in weak:
-        key |= 1 << n * (n + 1 + pos[a]) + pos[b]
+    for i, j in weak:
+        key |= 1 << n * (n + 1 + i) + j
     hit = _matching_cache.get((n, key))
     if hit is None:
-        ma = matching.analyze(G, weak)
+        ma = matching.analyze(LoopyGraph._from_rows(verts, rows, loops),
+                              frozenset((verts[i], verts[j]) for i, j in weak))
         if len(_matching_cache) >= _MATCHING_CACHE_MAX:
             _matching_cache.clear()
         hit = _matching_cache[n, key] = ma.vm, ma.nu
@@ -157,15 +186,7 @@ def tau_bound_holds(tau_x: int, q: int, nu: int, n: int, k: int) -> bool:
 
 # -- structural lemmas -------------------------------------------------------
 #
-# "v is a proper factor of u" means v in S.factors(u): v, u - v lie in S*.
-
-
-def _bits(values) -> int:
-    """The bitmask with bit v set for each v in values."""
-    out = 0
-    for v in values:
-        out |= 1 << v
-    return out
+# "v is a proper factor of u" means that v and u - v lie in S*.
 
 
 def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
@@ -175,41 +196,43 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
     All entries are True for every numerical semigroup; a False exposes an
     implementation bug, not a mathematical discovery.
 
-    Every set is a bitmask over the integers, bit z for z. Let mem be the
-    members of S below t = c + m and rev its reversal over [0, t): bit i of
-    rev is bit t - 1 - i of mem. For 0 <= z < t, bit a of rev >> (t - 1 - z)
-    is bit a + t - 1 - z of rev, so bit (t - 1) - (a + t - 1 - z) = z - a of
-    mem when a <= z, and 0 when a > z, past the top bit of rev. So the
-    factors of z, the a in [m, z - m] with a and z - a members, are
-    mem & (rev >> (t - 1 - z)) cut to [m, z - m]. X lies below t, and for
-    z in X a factor and its cofactor lie in [m, z - m], below c, where mem
-    and is_member agree. V, the neighborhoods, the degrees and the loops are
-    read from G, turned from vertex positions into such masks.
+    Every set is a bitmask over the integers, bit z for z. Let big be the
+    members of S in [m, t), t = c + m, and rev its reversal over [0, t): bit
+    i of rev is bit t - 1 - i of big. For 0 <= z < t, bit a of
+    rev >> (t - 1 - z) is bit a + t - 1 - z of rev, so bit
+    (t - 1) - (a + t - 1 - z) = z - a of big when a <= z, and 0 when a > z,
+    past the top bit of rev. So the factors of z, the a >= m with a and
+    z - a members from m on, are big & (rev >> (t - 1 - z)). X lies below
+    t, and for z in X a factor and its cofactor lie in [m, z - m], below c,
+    where the mask and is_member agree. V, the neighborhoods, the degrees,
+    the loops and |E| are read from G.vertices, G._adj and G._loopmask
+    alone, turned from vertex positions into such masks.
     """
     m, top = S.multiplicity, S.conductor + S.multiplicity - 1
     mem = S.mask
-    rev = int(bin(mem)[:1:-1].ljust(top + 1, "0"), 2)
     big = mem >> m << m                         # the members from m on
+    rev = int(bin(big)[:1:-1].ljust(top + 1, "0"), 2)
     factors = {}
     x = under = 0
     for z in apery.apery_x:
-        f = factors[z] = big & rev >> top - z & (1 << z - m + 1) - 1
+        f = factors[z] = big & rev >> top - z
         x |= 1 << z
         under |= f
 
-    verts = G.vertices
+    verts, loopmask = G.vertices, G._loopmask
     bits = [1 << v for v in verts]
     v_all = sum(bits)
-    loops = _bits(G.loops)
-    prim = _bits(S.min_generators)
+    prim = sum(1 << p for p in set(S.min_generators))
     v_d = v_all & ~prim
     fac = [factors[v] for v in verts]           # V is inside X
     nbrs, degs = [], []
-    nbhd_ok = True
-    under_v = under_loops = 0                   # the factors of V, of loops
+    nbhd_ok = divides_ok = True
+    loops = under_v = under_loops = 0   # the loops, the factors of V, of loops
     for i, row in enumerate(G._adj):
         under_v |= fac[i]
-        if G._loopmask >> i & 1:
+        loopy = loopmask >> i & 1
+        if loopy:
+            loops |= bits[i]
             under_loops |= fac[i]
             row |= 1 << i
         degs.append(row.bit_count())
@@ -223,11 +246,9 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
         nbrs.append(nb)
         if need & ~nb:
             nbhd_ok = False
-    at_most = [0] * (max(degs, default=0) + 1)  # degree <= d, by d
-    for b, d in zip(bits, degs):
-        at_most[d] |= b
-    for d in range(1, len(at_most)):
-        at_most[d] |= at_most[d - 1]
+        # a nonloopy vertex never properly divides a neighbor (z - y not in S*)
+        if not loopy and nb & mem << verts[i]:
+            divides_ok = False
 
     checks: dict[str, bool] = {}
 
@@ -237,8 +258,16 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
 
     checks["neighborhoods_are_downsets"] = nbhd_ok
 
-    checks["factor_degrees_decrease"] = not any(
-        f & at_most[d] for f, d in zip(fac, degs))
+    # only the factors that are vertices can have a degree to compare
+    ok = True
+    if under_v & v_all:
+        at_most = [0] * (max(degs) + 1)         # degree <= d, by d
+        for b, d in zip(bits, degs):
+            at_most[d] |= b
+        for d in range(1, len(at_most)):
+            at_most[d] |= at_most[d - 1]
+        ok = not any(f & at_most[d] for f, d in zip(fac, degs))
+    checks["factor_degrees_decrease"] = ok
 
     # len(z), for the members z in [m, max(V n D)], is the largest t with z
     # a sum of t elements of S*: 1, or len(a) + len(z - a) over the factors
@@ -263,12 +292,12 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
                      for u in bit_positions(v_d & loops))
     checks["max_length_nonloopy"] = ok
 
-    # a nonloopy vertex never properly divides a neighbor (z - y in S* fails)
-    checks["nonloopy_divides_no_neighbor"] = not any(
-        nb & mem << y for y, b, nb in zip(verts, bits, nbrs) if not b & loops)
+    checks["nonloopy_divides_no_neighbor"] = divides_ok
 
     checks["factor_of_loopy_is_loopy"] = not under_loops & v_all & ~loops
 
+    # the degrees count each true edge twice and each loop once
+    slack = (sum(degs) + loops.bit_count()) // 2 - len(apery.x_decomposable)
     n_d = v_d.bit_count()
     deg_d = [(u, d, nb) for u, b, d, nb in zip(verts, bits, degs, nbrs)
              if b & v_d]
@@ -281,7 +310,6 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
     checks["v_cap_d_degree_bound"] = ok
 
     # u = 2p for a primitive p iff u is even and u / 2 is in P
-    slack = G.edge_count - len(apery.x_decomposable)
     checks["large_difference_bound"] = all(
         d <= slack or u % 2 == 0 and prim >> u // 2 & 1 == 1
         for u, d, _ in deg_d)
@@ -302,7 +330,8 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
 
 
 def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
-    """Depth, matching and structural invariants of one semigroup, by name.
+    """Depth, matching and structural invariants of one semigroup, by name,
+    read off G(S) over vertex positions (see the module docstring).
 
     Raises where apery_analyze, weight_analysis or matching.analyze raise.
     Statements that hold on every input past those raises, or that another
@@ -341,16 +370,22 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
       w + (z - w) = z makes w a vertex.
     """
     ap = apery_analyze(S)
-    m, q = S.multiplicity, ap.depth_q
-    checks = {
-        "apery_one_per_class": (len(ap.apery_x) == m - 1
-                                and len({v % m for v in ap.apery_x}) == m - 1),
-        "apery_max": not ap.apery_x or max(ap.apery_x) == S.conductor + m - 1,
-    }
+    adjacency = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
+    return _report(S, ap, tuple(adjacency), *positional_rows(adjacency))
 
-    G = build_graph(S)
-    vm, nu = _matching_numbers(G, weight_analysis(G, ap).weak)
-    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, G.n, vm)
 
+def _report(S, ap, verts, rows, loops) -> dict[str, bool]:
+    """invariant_report on G(S) as a census entry holds it: its vertices in
+    increasing order, and its rows and loop mask from positional_rows."""
+    m, x = S.multiplicity, ap.apery_x
+    checks = {"apery_one_per_class": (len(x) == m - 1
+                                      and len({v % m for v in x}) == m - 1),
+              "apery_max": not x or max(x) == S.conductor + m - 1}
+    _, weak = _edge_pass(verts, rows, loops, ap)
+    vm, nu = _matching_numbers(verts, rows, loops, weak)
+    n, q = len(verts), ap.depth_q
+    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, n, vm)
+    # all of a LoopyGraph that the suite reads
+    G = SimpleNamespace(vertices=verts, _adj=rows, _loopmask=loops)
     checks.update(structural_lemma_suite(S, G, ap))
     return checks

@@ -9,7 +9,6 @@ mask follows from the rule x >= c  =>  x is a member.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 from .errors import (EmptyGenerators, InvalidTruncation, NonCoprimeGenerators,
@@ -31,13 +30,13 @@ MAX_MULTIPLICITY = 20_000
 MAX_CLOSURE_WORK = 15_000_000_000
 
 
-_ONE = re.compile("1")
-
-
 def bit_positions(mask: int) -> list[int]:
     """The set bits of a nonnegative mask, in increasing order."""
-    # character x of the reversed binary string is bit x
-    return [hit.start() for hit in _ONE.finditer(bin(mask)[:1:-1])]
+    out, at = [], -1    # the pieces are the runs of zeros from bit 0 up
+    for zeros in bin(mask)[:1:-1].split("1")[:-1]:
+        at += len(zeros) + 1
+        out.append(at)
+    return out
 
 
 def apery_mask(mask: int, m: int, c: int) -> int:
@@ -55,7 +54,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("min_generators", "multiplicity", "frobenius", "conductor",
-                 "genus", "mask", "_bits")
+                 "genus", "mask")
 
     def __init__(self, mask, multiplicity, conductor, min_generators):
         # Internal constructor; use from_generators / from_generators_truncated.
@@ -66,7 +65,6 @@ class NumericalSemigroup:
         self.conductor = conductor
         self.genus = conductor - (mask & ((1 << conductor) - 1)).bit_count()
         self.min_generators = tuple(min_generators)
-        self._bits = ""     # reversed mask for factors, built on first use
 
     # -- membership ------------------------------------------------------
 
@@ -90,19 +88,6 @@ class NumericalSemigroup:
         return self.is_member(b - a)
 
     # -- the P / D / L split ---------------------------------------------
-
-    def factors(self, z: int):
-        """Each a in S* with z - a in S*, lazily and in increasing order."""
-        bits = self._bits   # character x is "1" iff x is a member
-        if len(bits) <= z:  # every x >= c is a member
-            bits = self._bits = bin(self.mask)[:1:-1].ljust(z + 1, "1")
-        m = self.multiplicity
-        end = max(z - m + 1, 0)     # a negative end would count from the right
-        a = bits.find("1", m, end)
-        while a >= 0:
-            if bits[z - a] == "1":
-                yield a
-            a = bits.find("1", a + 1, end)
 
     def primitives(self) -> set[int]:
         """The set P of minimal generators, equal to S* minus (S* + S*)."""

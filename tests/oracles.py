@@ -9,7 +9,8 @@ through is_member and build graphs through the public LoopyGraph.
 
 from itertools import islice, permutations
 
-from wilfgraph import LoopyGraph
+from wilfgraph import (InconsistentDepths, InvariantViolation, LoopyGraph,
+                       WeightAnalysis)
 
 
 def sieve_members(gens, horizon):
@@ -309,6 +310,13 @@ def smallest_multiplicity_per_m(n, min_multiplicity):
 # read through the public methods of the semigroup and the graph.
 
 
+def factors(S, z):
+    """Each a in S* with z - a in S*, in increasing order."""
+    m = S.multiplicity
+    return [a for a in range(m, z - m + 1)
+            if S.is_member(a) and S.is_member(z - a)]
+
+
 def lengths(S, top):
     """len(z) for every member in [m, top]: the largest t with z a sum of t
     elements of S*."""
@@ -316,7 +324,7 @@ def lengths(S, top):
     out = {}
     for z in S.members_below(top + 1):
         if z >= m:
-            out[z] = max((out[a] + out[z - a] for a in S.factors(z)),
+            out[z] = max((out[a] + out[z - a] for a in factors(S, z)),
                          default=1)
     return out
 
@@ -330,7 +338,7 @@ def structural_lemma_suite(S, G, apery):
     prim = set(S.min_generators)
     v_p = v_all & prim
     v_d = v_all - v_p
-    factors_of = {u: list(S.factors(u)) for u in x}     # V is inside X
+    factors_of = {u: factors(S, u) for u in x}     # V is inside X
     nbrs = {u: G.neighbors(u) for u in v_all}
 
     checks = {}
@@ -380,6 +388,40 @@ def structural_lemma_suite(S, G, apery):
         for a, b in G.all_edges())
 
     return checks
+
+
+# -- edge weights, on label sets ----------------------------------------------
+#
+# semigraph.weight_analysis as it stood before the positional edge pass,
+# frozen: the same rules and raise messages, on G.all_edges() and sets of
+# labels.
+
+
+def weight_analysis(G, apery):
+    """Every field of semigraph.weight_analysis, from the labeled edges."""
+    fibers, x0, weak = {}, set(), set()
+    q, depth_of = apery.depth_q, apery.depth_of
+    floor = q - min(apery.rho, 1)
+    for a, b in G.all_edges():
+        z = a + b
+        fibers.setdefault(z, set()).add((a, b))
+        s = depth_of[a] + depth_of[b]
+        if s < floor:
+            raise InconsistentDepths(
+                f"edge ({a}, {b}) has depth sum {s} < {floor}")
+        if s == q - 1:
+            weak.add((a, b))
+        if s == depth_of[z] + q - 1:
+            x0.add(z)
+    if set(fibers) != apery.x_decomposable:
+        raise InvariantViolation("edge weights do not map onto X n D")
+    if len(x0) > apery.rho:
+        raise InvariantViolation(f"|X0| = {len(x0)} exceeds rho = {apery.rho}")
+    if len({a + b for a, b in weak}) > apery.rho:
+        raise InvariantViolation(f"weak edges have more than rho = "
+                                 f"{apery.rho} weights")
+    return WeightAnalysis({z: frozenset(es) for z, es in fibers.items()},
+                          frozenset(x0), frozenset(weak))
 
 
 # -- test-only helpers ---------------------------------------------------------

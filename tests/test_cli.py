@@ -457,6 +457,19 @@ def test_large_multiplicity_exits_1_quickly(capsys):
     assert out == ""
 
 
+def test_large_apery_set_info_quickly(capsys):
+    # <20000, 20001> cut at 4,000,000 has 19,999 Apery elements over a
+    # 4-million-bit mask: one full-width mask operation per element, as in a
+    # rest & -rest loop, takes seconds, and one pass over the bit string a
+    # small fraction of one
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", "--gens", "20000,20001|t=4000000")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert "Wilf holds: yes" in out
+    assert err == ""
+
+
 # -- fuzzed argv --------------------------------------------------------------
 
 _FORMATS = {"info": ["table", "json"], "graph": ["table", "dot", "json"],

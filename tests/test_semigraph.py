@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -314,7 +315,7 @@ def _pseudo_semigroups(draw):
     change = draw(st.sampled_from(["none", "drop", "add"]))
     if change == "drop" and len(gens) > 1:
         gens.remove(draw(st.sampled_from(gens)))
-    elif change == "add":
+    elif change == "add" and len(members) > 1:    # <1> has none to add
         extra = draw(st.sampled_from(sorted(members - {0})))
         gens = sorted(set(gens) | {extra})
     return small, m, c, tuple(gens)
@@ -341,6 +342,14 @@ def test_lemma_suite_matches_oracle_on_pseudo_semigroups(inputs):
 # -- the matching cache ---------------------------------------------------------
 
 
+def _cached(G, weak):
+    """semigraph._matching_numbers on G's positional form, the weak label
+    pairs (a, b), a <= b, turned into position pairs."""
+    pos = G._pos
+    return semigraph._matching_numbers(G.vertices, G._adj, G._loopmask,
+                                       [(pos[a], pos[b]) for a, b in weak])
+
+
 def test_matching_cache_matches_fresh_solves(monkeypatch):
     # in stream order, so most lookups hit what earlier semigroups cached
     monkeypatch.setattr(semigraph, "_matching_cache", {})
@@ -349,7 +358,7 @@ def test_matching_cache_matches_fresh_solves(monkeypatch):
         G = build_graph(S)
         weak = weight_analysis(G, analyze(S)).weak
         ma = matching.analyze(G, weak)
-        assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu), S
+        assert _cached(G, weak) == (ma.vm, ma.nu), S
         count += 1
     assert count == 6964
     assert len(semigraph._matching_cache) == 1569
@@ -362,7 +371,7 @@ def test_matching_cache_stays_bounded(monkeypatch):
         G = build_graph(S)
         weak = weight_analysis(G, analyze(S)).weak
         ma = matching.analyze(G, weak)
-        assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu), S
+        assert _cached(G, weak) == (ma.vm, ma.nu), S
         assert len(semigraph._matching_cache) <= 3
 
 
@@ -379,6 +388,84 @@ def test_matching_cache_on_pseudo_semigroups(inputs):
         ma = matching.analyze(G, weak)
     except WilfgraphError as exc:
         with pytest.raises(type(exc)):
-            semigraph._matching_numbers(G, weak)
+            _cached(G, weak)
         return
-    assert semigraph._matching_numbers(G, weak) == (ma.vm, ma.nu)
+    assert _cached(G, weak) == (ma.vm, ma.nu)
+
+
+# -- the positional battery against the public layers -------------------------
+
+
+def _outcome(run, S):
+    """run(S), or the class and message of the library error it raises."""
+    try:
+        return run(S)
+    except WilfgraphError as exc:
+        return type(exc), str(exc)
+
+
+def _layered(weigh, apery_of):
+    """invariant_report composed from the public layers, with ``weigh`` as
+    the weight layer and ``apery_of`` as the Apery layer."""
+    def report(S):
+        ap = apery_of(S)
+        m, x = S.multiplicity, ap.apery_x
+        checks = {"apery_one_per_class": (len(x) == m - 1 and
+                                          len({v % m for v in x}) == m - 1),
+                  "apery_max": not x or max(x) == S.conductor + m - 1}
+        G = build_graph(S)
+        ma = matching.analyze(G, weigh(G, ap).weak)
+        checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, ap.depth_q,
+                                                    ma.nu, G.n, ma.vm)
+        checks.update(structural_lemma_suite(S, G, ap))
+        return checks
+    return report
+
+
+def _check_positional_battery(S, apery_of=analyze):
+    # the frozen label-set weights, the positional ones behind the public
+    # wrapper, and the one positional pass of invariant_report, all on the
+    # Apery analysis apery_of(S)
+    want = _outcome(_layered(oracles.weight_analysis, apery_of), S)
+    assert _outcome(_layered(weight_analysis, apery_of), S) == want, S
+    with mock.patch.object(semigraph, "apery_analyze", apery_of):
+        assert _outcome(invariant_report, S) == want, S
+
+
+def test_positional_battery_matches_layers(monkeypatch):
+    # in stream order from an empty cache, so hits and misses both occur
+    monkeypatch.setattr(semigraph, "_matching_cache", {})
+    for S in iter_semigroups(14):
+        _check_positional_battery(S)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pseudo_semigroups())
+@example(([0, 1], 2, 3, (3, 4)))
+@example(([0, 3], 4, 7, (7, 8, 9, 10)))
+def test_positional_battery_matches_layers_on_pseudo_semigroups(inputs):
+    _check_positional_battery(_doctored(*inputs))
+
+
+@st.composite
+def _doctored_depths(draw):
+    """A semigroup of genus <= 12 with a nonempty graph, and its Apery
+    analysis with every depth moved by -2 to 1 and rho by -1 to 1. No
+    semigroup has such depths, so this is where the edge pass raises: the
+    depth floor (naming the first failing edge), X0 and the weak weights."""
+    S = draw(st.sampled_from(_GRAPHED))
+    ap = analyze(S)
+    depth_of = {v: d + draw(st.integers(-2, 1))
+                for v, d in ap.depth_of.items()}
+    rho = ap.rho + draw(st.integers(-1 if ap.rho else 0, 1))
+    return S, replace(ap, depth_of=depth_of, rho=rho)
+
+
+_GRAPHED = [S for S in _SEEDS if build_graph(S).n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_doctored_depths())
+def test_positional_battery_matches_layers_on_doctored_depths(inputs):
+    S, ap = inputs
+    _check_positional_battery(S, lambda _: ap)
