@@ -3,9 +3,12 @@
 The semigroup tree is rooted at the full set of nonnegative integers; the
 children of S are S minus one minimal generator exceeding the Frobenius
 number, which raises the genus by exactly one and reaches every semigroup
-exactly once. Each node is a tuple (mask, m, c, g, gens), built from its
-parent's with no sieve, that ``iter_semigroups`` wraps in a
-NumericalSemigroup. The census reads the tuples; with no class keys and no
+exactly once. Each node is a tuple (mask, m, c, g, P, R) of ints, built
+from its parent's with a few int operations and no sieve: P holds the
+minimal generators as a bitmask and R the same set reversed, so that one
+mask test decides whether a child gains a generator. ``iter_semigroups``
+wraps a node in a NumericalSemigroup. The census reads the tuples and builds
+a generator tuple only where an output holds one; with no class keys and no
 sample it walks one genus short and counts the last genus from its parents.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
@@ -38,47 +41,80 @@ MAX_WORKERS = 64
 _SPLIT_DEPTH = 6
 _SPLIT_FLOOR = 9
 _BATCHES_PER_WORKER = 8
-_ROOT = (1, 1, 0, 0, (1,))      # the tree node of N itself, see _descend
+# A node's generators reversed below _K, see _descend. A parent of genus g
+# has c <= 2g and m <= g + 1, so p + m < c + 2m <= 4g + 2 for each generator
+# p != m that a child removes; _walk_bound keeps every walk's p + m below _K.
+_K = 4 * GENUS_HARD_CAP + 2
+_ROOT = (1, 1, 0, 0, 2, 1 << (_K - 1))  # the tree node of N itself
+
+
+def _walk_bound(g_max):
+    """Raise ValueError unless a walk to genus ``g_max`` keeps p + m < _K."""
+    if 4 * g_max + 1 >= _K:
+        raise ValueError(f"the tree walk reaches genus {(_K - 2) // 4} at "
+                         f"most, got {g_max}")
+
+
+def _gens(R):
+    """The generator tuple of a node, read off its reversed generator mask
+    R: the top bit of R is the least generator. R has few bits, and this
+    loop over them beats bit_positions' scan of the whole bit string."""
+    out = []
+    while R:
+        b = R.bit_length() - 1
+        out.append(_K - b)
+        R ^= 1 << b
+    return tuple(out)
 
 
 def _descend(node, cut):
     """Depth-first stream of the subtree at ``node``, children by increasing
     removed generator p > f; nodes of genus ``cut`` are yielded but not
-    expanded. A node (mask, m, c, g, gens) holds the members of S in
-    [0, c + m), its multiplicity, conductor, genus and minimal generators.
+    expanded. A node (mask, m, c, g, P, R) holds the members of S in
+    [0, c + m), its multiplicity, conductor and genus, its minimal
+    generators as the mask P, and R, with bit _K - q for each generator q.
 
     S' = S minus p has c' = p + 1 and g' = g + 1. If p = m, S = {0} u [m, oo)
     and S' = {0} u [m + 1, oo) is generated by m + 1, ..., 2m + 1. Else
     m' = m, and a new generator x = p + a (a in S*) is below c' + m, as
     x - m >= c' otherwise: x = p + m. It is a sum in S' iff a generator
-    q <= p of S' leaves p + m - q >= m a member (the least summand is q plus
-    0 or a member): q is one of the parent's generators below p.
+    q of S' leaves x - q a member of S' (the least summand is q plus 0 or a
+    member), i.e. iff child & (R' >> (_K - x)) != 0 with child the members
+    of S' and R' = R minus bit _K - p: bit x - q of R' >> (_K - x) is set for
+    each generator q != p of S, and its other bits drop out of the test.
+    - q > p gives x - q in [1, m), where S' has no member;
+    - q = m gives x - m = p, which is not in S';
+    - q = p would give m, a member, and is why p leaves R'.
+    So the test reads exactly the q in (m, p), as the sum requires.
     """
     stack = [node]
     push, pop = stack.append, stack.pop
     while stack:
         node = pop()
         yield node
-        mask, m, c, g, gens = node
+        mask, m, c, g, P, R = node
         if g < cut:
             g += 1
             full = mask | -(1 << c)     # every bit from c up is set
-            # the generators above f are a suffix, and only gens[0] is m
-            for i in range(len(gens) - 1, 0, -1):
-                p = gens[i]
-                if p < c:
-                    break
-                child = (full ^ (1 << p)) & ((2 << (p + m)) - 1)
-                low, x = gens[:i], p + m
-                for q in low:
-                    if child >> (x - q) & 1:
-                        push((child, m, p + 1, g, low + gens[i + 1:]))
-                        break
+            # the generators above f other than m, largest first
+            high = P >> c << c
+            if m >= c:
+                high ^= 1 << m
+            while high:
+                p = high.bit_length() - 1
+                high ^= 1 << p
+                x = p + m
+                child = (full ^ (1 << p)) & ((2 << x) - 1)
+                P_, R_ = P ^ (1 << p), R ^ (1 << (_K - p))
+                if child & (R_ >> (_K - x)):
+                    push((child, m, p + 1, g, P_, R_))
                 else:
-                    push((child, m, p + 1, g, low + gens[i + 1:] + (x,)))
+                    push((child, m, p + 1, g, P_ | (1 << x),
+                          R_ | (1 << (_K - x))))
             if m >= c:
                 push(((full ^ (1 << m)) & ((1 << (2 * m + 2)) - 1),
-                      m + 1, m + 1, g, gens[1:] + (2 * m, 2 * m + 1)))
+                      m + 1, m + 1, g, P ^ (1 << m) | (3 << 2 * m),
+                      R ^ (1 << (_K - m)) | (3 << (_K - 2 * m - 1))))
 
 
 def iter_semigroups(g_max: int):
@@ -86,9 +122,10 @@ def iter_semigroups(g_max: int):
 
     Deterministic order: children are visited by increasing removed generator.
     """
-    if g_max >= 0:
-        for mask, m, c, _, gens in _descend(_ROOT, g_max):
-            yield NumericalSemigroup(mask, m, c, gens)
+    _walk_bound(g_max)
+    nodes = _descend(_ROOT, g_max) if g_max >= 0 else ()
+    return (NumericalSemigroup(mask, m, c, _gens(R))
+            for mask, m, c, _, _, R in nodes)
 
 
 # Known cases of the Wilf inequality that the census tallies, in report
@@ -208,21 +245,30 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     acc; ``cache`` maps graph signatures to canonical keys. The ``sample``
     generator tuples of least hash in each genus join its sample.
 
+    A class's representative is its member with the least generator tuple,
+    kept as R until the end, and acc must hold no class yet. Within a genus
+    the least tuple has the largest R: no generator set A is a proper prefix
+    of another, B, as A in B gives <A> in <B> and equal genus makes them
+    equal. So at the least generator d that only one of two sets holds,
+    that set has the lesser tuple and the larger R, whose top differing bit
+    is _K - d.
+
     With ``leaves`` the stream ends one genus short of acc's last, which is
     counted from its parents by _descend's rule; a child's tuple is built
     only if it fails Wilf. S minus p has c' = p + 1 and |P| generators, one
-    less if a generator q in (m, p) leaves p + m - q (< p) in S, and so in S
-    minus p; the ordinary child has |P| + 1 and c' = m' = m + 1."""
+    less if a generator q in (m, p) leaves p + m - q in S minus p, which the
+    members of S in (m, p) tell; the ordinary child has |P| + 1 and
+    c' = m' = m + 1."""
     cases: dict = {}        # (genus, first four bucket tests) -> count
     # genus -> entry of the last node streamed there: genus is depth, so a
     # node's parent, when streamed, is the last node one genus up
     path: dict = {}
     heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
     last = max(acc) - 1 if leaves else -1
-    for mask, m, c, g, gens in nodes:
-        n_p = len(gens)
+    for mask, m, c, g, P, R in nodes:
+        n_p = P.bit_count()
         if n_p * (c - g) < c:           # |L| = c - g
-            acc[g].wilf_violations.append(gens)
+            acc[g].wilf_violations.append(_gens(R))
         case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
         cases[case] = cases.get(case, 0) + 1
         if classes:
@@ -231,9 +277,10 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             key = entry[4]
             stats.class_keys[key] += 1
             rep = stats.class_representatives.get(key)
-            if rep is None or gens < rep:
-                stats.class_representatives[key] = gens
+            if rep is None or R > rep:
+                stats.class_representatives[key] = R
         if sample:
+            gens = _gens(R)
             heap, h = heaps[g], -hash(gens)
             if len(heap) < sample:
                 heappush(heap, (h, gens))
@@ -242,23 +289,27 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
         if g == last:
             g += 1
             bad = acc[g].wilf_violations
+            high = P >> c << c          # the generators above f but m
             if m >= c:                  # the ordinary child
+                high ^= 1 << m
                 k = n_p + 1
                 if k * (m + 1 - g) <= m:
-                    bad.append(gens[1:] + (2 * m, 2 * m + 1))
+                    bad.append(_gens(R ^ (1 << (_K - m))
+                                     | (3 << (_K - 2 * m - 1))))
                 case = (g, k <= 3, True, 2 * k > m, 3 * k > m)
                 cases[case] = cases.get(case, 0) + 1
-            for i in range(n_p - 1, 0, -1):
-                p = gens[i]
-                if p < c:
-                    break
+            # R >> (_K - x) has bit x - q for each generator q: q = p gives
+            # m and q = m gives p, no summands; q > p meets no member
+            inner = mask ^ (1 << m)
+            while high:
+                p = high.bit_length() - 1
+                high ^= 1 << p
                 x, k = p + m, n_p
-                for j in range(1, i):
-                    if mask >> (x - gens[j]) & 1:
-                        k -= 1
-                        break
+                if (inner ^ (1 << p)) & (R >> (_K - x)):
+                    k -= 1
                 if k * (p + 1 - g) <= p:
-                    bad.append(gens[:i] + gens[i + 1:] + (x,) * (k == n_p))
+                    bad.append(_gens(R ^ (1 << (_K - p))
+                                     | (k == n_p) << (_K - x)))
                 case = (g, k <= 3, p < 3 * m, 2 * k >= m, 3 * k >= m)
                 cases[case] = cases.get(case, 0) + 1
     for (g, *hits), count in cases.items():
@@ -268,6 +319,10 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             acc[g].buckets[name] += count
     for g, heap in heaps.items():
         acc[g].sample += [gens for _, gens in heap]
+    for stats in acc.values():
+        reps = stats.class_representatives
+        for key, R in reps.items():
+            reps[key] = _gens(R)
 
 
 def _above(split, frontier):
@@ -320,6 +375,7 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
                          f"got {g_max}")
+    _walk_bound(g_max)
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be within 1..{MAX_WORKERS}, "
                          f"got {workers}")

