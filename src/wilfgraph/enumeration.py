@@ -9,13 +9,13 @@ minimal generators as a bitmask and R the same set reversed, so that one
 mask test decides whether a child gains a generator. ``iter_semigroups``
 wraps a node in a NumericalSemigroup. The census reads the tuples and builds
 a generator tuple only where an output holds one; with no class keys and no
-sample it walks one genus short and counts the last genus from its parents.
+battery it walks one genus short and counts the last genus from its parents.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
-known-case buckets, and a fixed-size sample per genus for the invariant
-battery: the bottom-k sample of Cohen & Kaplan (PODC 2007) over a fixed
-hash, which merges across workers where a seeded reservoir could not.
+known-case buckets, and the invariant battery: on every semigroup of genus
+<= EXHAUSTIVE_GENUS, and beyond it on those with 3|P| < m, the only ones
+the paper's theorem (Wilf holds when 3|P| >= m) leaves out.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappush, heapreplace
 from itertools import compress
 from multiprocessing import get_context
 
+from . import semigraph
 from .errors import WilfCounterexample
 from .loopy import _canonical_key
 from .semigraph import neighbor_masks, positional_rows
@@ -41,6 +41,9 @@ MAX_WORKERS = 64
 _SPLIT_DEPTH = 6
 _SPLIT_FLOOR = 9
 _BATCHES_PER_WORKER = 8
+# The battery checks every semigroup up to this genus, and beyond it those
+# with 3|P| < m
+EXHAUSTIVE_GENUS = 12
 # A node's generators reversed below _K, see _descend. A parent of genus g
 # has c <= 2g and m <= g + 1, so p + m < c + 2m <= 4g + 2 for each generator
 # p != m that a child removes; _walk_bound keeps every walk's p + m below _K.
@@ -143,7 +146,8 @@ class GenusCensus:
     class_representatives: dict = field(default_factory=dict)
     wilf_violations: list = field(default_factory=list)
     buckets: Counter = field(default_factory=Counter)   # over BUCKETS
-    sample: list = field(default_factory=list)   # gens with the least hash
+    invariants_checked: int = 0
+    invariant_failures: list = field(default_factory=list)  # (gens, bad keys)
 
     @property
     def class_count_gamma(self) -> int:
@@ -164,7 +168,8 @@ class GenusCensus:
             self.class_representatives[key] = rep if mine is None else min(mine, rep)
         self.wilf_violations += other.wilf_violations
         self.buckets.update(other.buckets)
-        self.sample += other.sample
+        self.invariants_checked += other.invariants_checked
+        self.invariant_failures += other.invariant_failures
 
 
 def _graph_entry(mask, m, c, parent, cache):
@@ -240,10 +245,12 @@ def _graph_entry(mask, m, c, parent, cache):
 
 
 def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
-           cache: dict, sample: int = 0, leaves: bool = False) -> None:
+           cache: dict, battery: bool = False, leaves: bool = False) -> None:
     """Add every node of a preorder stream to the census of its genus in
-    acc; ``cache`` maps graph signatures to canonical keys. The ``sample``
-    generator tuples of least hash in each genus join its sample.
+    acc; ``cache`` maps graph signatures to canonical keys. With
+    ``battery``, each node that passes the Wilf test and has genus <=
+    EXHAUSTIVE_GENUS or 3|P| < m goes through semigraph.invariant_report;
+    its genus counts it and keeps (generator tuple, False keys) if any.
 
     A class's representative is its member with the least generator tuple,
     kept as R until the end, and acc must hold no class yet. Within a genus
@@ -263,12 +270,19 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     # genus -> entry of the last node streamed there: genus is depth, so a
     # node's parent, when streamed, is the last node one genus up
     path: dict = {}
-    heaps: dict = {g: [] for g in acc}      # genus -> [(-hash, gens)]
     last = max(acc) - 1 if leaves else -1
     for mask, m, c, g, P, R in nodes:
         n_p = P.bit_count()
         if n_p * (c - g) < c:           # |L| = c - g
             acc[g].wilf_violations.append(_gens(R))
+        elif battery and (g <= EXHAUSTIVE_GENUS or 3 * n_p < m):
+            gens = _gens(R)
+            report = semigraph.invariant_report(
+                NumericalSemigroup(mask, m, c, gens))
+            acc[g].invariants_checked += 1
+            failed = [key for key, ok in report.items() if not ok]
+            if failed:
+                acc[g].invariant_failures.append((gens, failed))
         case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
         cases[case] = cases.get(case, 0) + 1
         if classes:
@@ -279,13 +293,6 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             rep = stats.class_representatives.get(key)
             if rep is None or R > rep:
                 stats.class_representatives[key] = R
-        if sample:
-            gens = _gens(R)
-            heap, h = heaps[g], -hash(gens)
-            if len(heap) < sample:
-                heappush(heap, (h, gens))
-            elif h > heap[0][0]:        # below the largest hash kept
-                heapreplace(heap, (h, gens))
         if g == last:
             g += 1
             bad = acc[g].wilf_violations
@@ -317,8 +324,6 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
         hits.append(any(hits))
         for name in compress(BUCKETS, hits):
             acc[g].buckets[name] += count
-    for g, heap in heaps.items():
-        acc[g].sample += [gens for _, gens in heap]
     for stats in acc.values():
         reps = stats.class_representatives
         for key, R in reps.items():
@@ -342,7 +347,7 @@ def _deal(frontier, workers):
     return [frontier[i::count] for i in range(count)]
 
 
-# (batches, g_max, classes, cache, sample, leaves) of run_census, set only in
+# (batches, g_max, classes, cache, battery, leaves) of run_census, set only in
 # a forked pool worker: fork hands the batches and the parent's graph-key
 # cache over unpickled, and the worker keeps filling it across its batches
 _batch_state = None
@@ -354,23 +359,24 @@ def _init_worker(*state):
 
 
 def _batch_job(i):
-    batches, g_max, classes, cache, sample, leaves = _batch_state
+    batches, g_max, classes, cache, battery, leaves = _batch_state
     acc = {g: GenusCensus(g) for g in range(batches[i][0][3], g_max + 1)}
     _tally((node for root in batches[i]
             for node in _descend(root, g_max - leaves)),
-           acc, classes, cache, sample, leaves)
+           acc, classes, cache, battery, leaves)
     return acc
 
 
 def run_census(g_max: int, workers: int = 1, classes: bool = False,
-               sample: int = 0) -> dict[int, GenusCensus]:
+               battery: bool = False) -> dict[int, GenusCensus]:
     """Census of every genus 0..g_max; deterministic for any worker count.
 
     With workers > 1 the parent tallies the tree above the frontier genus
-    and a fork pool tallies the subtrees below it, in batches. Each genus's
-    ``sample`` holds its ``sample`` generator tuples of least hash, in
-    increasing hash order (the whole genus when it has fewer). With neither,
-    genus g_max is counted from its parents (``leaves``), not walked.
+    and a fork pool tallies the subtrees below it, in batches. With
+    ``battery`` each genus holds the invariant battery's count and its
+    failures, sorted by generator tuple (see _tally). With neither classes
+    nor battery, genus g_max is counted from its parents (``leaves``), not
+    walked.
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
@@ -379,29 +385,25 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be within 1..{MAX_WORKERS}, "
                          f"got {workers}")
-    if sample < 0:
-        raise ValueError(f"sample must be >= 0, got {sample}")
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
-    leaves = not (classes or sample)
+    leaves = not (classes or battery)
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(_ROOT, g_max - leaves), acc, classes, cache, sample,
+        _tally(_descend(_ROOT, g_max - leaves), acc, classes, cache, battery,
                leaves)
     else:
         frontier: list = []
-        _tally(_above(split, frontier), acc, classes, cache, sample)
+        _tally(_above(split, frontier), acc, classes, cache, battery)
         batches = _deal(frontier, workers)
         with get_context("fork").Pool(
                 workers, _init_worker,
-                (batches, g_max, classes, cache, sample, leaves)) as pool:
+                (batches, g_max, classes, cache, battery, leaves)) as pool:
             for part in pool.imap_unordered(_batch_job, range(len(batches))):
                 for g, stats in part.items():
                     acc[g].merge(stats)
-    # the hash of a tuple of ints does not depend on PYTHONHASHSEED, so the
-    # sample is the same at every worker count and in every process
-    for stats in acc.values():
-        stats.sample = sorted(stats.sample, key=hash)[:sample]
+    for stats in acc.values():      # the pool returns batches in any order
+        stats.invariant_failures.sort()
     return acc
 
 
@@ -414,15 +416,15 @@ class WilfReport:
     per_genus: dict[int, GenusCensus]
 
 
-def verify_wilf_range(g_max: int, workers: int = 1, sample: int = 0
+def verify_wilf_range(g_max: int, workers: int = 1, battery: bool = False
                       ) -> WilfReport:
-    """Check |P||L| >= c over every semigroup of genus <= g_max, drawing
-    ``sample`` semigroups per genus as ``run_census`` does.
+    """Check |P||L| >= c over every semigroup of genus <= g_max, and with
+    ``battery`` run the invariant battery as ``run_census`` does.
 
     Raises WilfCounterexample (with the offending generator lists) if the
     inequality ever fails; that would be a sensational bug.
     """
-    acc = run_census(g_max, workers=workers, sample=sample)
+    acc = run_census(g_max, workers=workers, battery=battery)
     violations = sorted(
         v for stats in acc.values() for v in stats.wilf_violations)
     if violations:

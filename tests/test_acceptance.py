@@ -12,7 +12,8 @@ from wilfgraph import (LoopyGraph, all_loopy_graphs, analyze, analyze_matchings,
                        build_graph, extremal_edge_search, from_generators,
                        invariant_report, iter_semigroups, loopy_complete,
                        plan_with_offsets, realize,
-                       run_census, verify_realization, weight_analysis)
+                       run_census, verify_realization, verify_wilf_range,
+                       weight_analysis)
 from wilfgraph.cli import main
 
 from oracles import brute_matching_stats, random_loopy_graph
@@ -55,22 +56,17 @@ def test_criterion_3_wilf_holds(census20):
 
 def test_criterion_4_invariant_suite():
     checked = 0
-    for S in iter_semigroups(12):
+    for S in iter_semigroups(15):
         bad = [k for k, ok in invariant_report(S).items() if not ok]
         assert not bad, (S.min_generators, bad)
         checked += 1
-    assert checked == 1 + sum(NG_TABLE[:12])
-    sampled = 0
-    census = run_census(18, sample=30)
-    for g in range(13, 19):
-        for gens in census[g].sample:
-            S = from_generators(gens)
-            bad = [k for k, ok in invariant_report(S).items() if not ok]
-            assert not bad, (S.min_generators, bad)
-            sampled += 1
-    assert sampled == 180
-    print(f"PASS criterion 4: invariant suite on {checked} semigroups "
-          f"(exhaustive, g <= 12) + {sampled} sampled (g <= 18)")
+    assert checked == 1 + sum(NG_TABLE[:15]) == 6964
+    # verify's rule: every genus <= 12, and the three with 3|P| < m at 21
+    per_genus = verify_wilf_range(21, battery=True).per_genus.values()
+    assert sum(stats.invariants_checked for stats in per_genus) == 1416
+    assert [stats.invariant_failures for stats in per_genus] == [[]] * 22
+    print(f"PASS criterion 4: invariant suite on all {checked} semigroups "
+          "of genus <= 15, and on the 1416 verify checks to genus 21")
 
 
 def test_criterion_5_matching_oracle():

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 from itertools import chain
 
@@ -221,13 +222,13 @@ def test_verify_json(capsys):
 
 
 def test_verify_sampled_json(capsys):
-    # beyond genus 12 the battery runs on the census's 25 per genus
-    code, out, _ = run(capsys, "verify", "--genus-max", "14", "--format",
+    # the battery checks the 1,413 semigroups of genus <= 12 and, beyond,
+    # the three of genus 21 with 3|P| < m
+    code, out, _ = run(capsys, "verify", "--genus-max", "21", "--format",
                        "json")
     assert code == 0
     data = json.loads(out)
-    assert data["invariants_checked_exhaustive"] == 1413
-    assert data["invariants_checked_sampled"] == 50
+    assert data["invariants_checked"] == 1416
     assert data["invariant_failures"] == []
 
 
@@ -238,8 +239,8 @@ def test_verify_has_no_seed(capsys):
 
 
 def test_verify_walks_the_tree_once(capsys, monkeypatch):
-    # one walk to genus 16 plus the genus-12 list; no second walk to sample
-    bound = sum(1 for _ in enumeration.iter_semigroups(16)) + 1413
+    # one walk to genus 16, which also runs the battery, and no second
+    nodes = sum(1 for _ in enumeration.iter_semigroups(16))
     calls = 0
     descend = enumeration._descend
 
@@ -252,7 +253,7 @@ def test_verify_walks_the_tree_once(capsys, monkeypatch):
     monkeypatch.setattr(enumeration, "_descend", counted)
     code, _, _ = run(capsys, "verify", "--genus-max", "16", "--workers", "1")
     assert code == 0
-    assert calls <= bound
+    assert calls == nodes
 
 
 def test_doctored_node_raises_wilf_counterexample(capsys, monkeypatch):
@@ -404,13 +405,38 @@ def test_invariant_violation_verify_failure_exits_2(capsys, monkeypatch):
 
 def test_invariant_violation_verify_sampled_failure_exits_2(capsys,
                                                             monkeypatch):
-    # a key that fails only beyond genus 12 shows in the sampled semigroups
+    # a key that fails only beyond genus 12 fails on the three semigroups
+    # with 3|P| < m, checked in pool workers at two workers
     monkeypatch.setattr(semigraph, "invariant_report",
                         lambda S: {"leaf_structure": S.genus <= 12})
-    code, out, _ = run(capsys, "verify", "--genus-max", "14")
+    outs = set()
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--genus-max", "21",
+                           "--workers", workers)
+        assert code == 2
+        outs.add(out)
+    out, = outs
+    assert [line for line in out.splitlines() if "FAILURE" in line] == [
+        f"  FAILURE genus 21 {gens}: ['leaf_structure']"
+        for gens in ((7, 8), (10, 11, 13), (10, 11, 14))]
+
+
+def test_invariant_violation_in_pool_worker_exits_2(capsys, monkeypatch):
+    # genus 9 and up are tallied in the pool at genus 14 and two workers
+    parent = os.getpid()
+
+    def broken(S):
+        if os.getpid() != parent:
+            raise InvariantViolation(f"raised in a worker at {S.genus}")
+        return {}
+
+    monkeypatch.setattr(semigraph, "invariant_report", broken)
+    code, out, err = run(capsys, "verify", "--genus-max", "14", "--workers",
+                         "2")
     assert code == 2
-    assert out.count("FAILURE genus 13") == 25
-    assert out.count("FAILURE genus 14") == 25
+    assert err.startswith("invariant failure: InvariantViolation: "
+                          "raised in a worker at ")
+    assert out == ""
 
 
 def test_invariant_violation_mapping_not_a_member_exits_1(capsys,

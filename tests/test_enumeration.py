@@ -98,7 +98,7 @@ def test_raw_nodes_are_consistent():
 
 
 def test_stream_order_pinned():
-    # the sampler's draws depend on this depth-first order
+    # children by increasing removed generator, as iter_semigroups states
     assert [S.min_generators for S in iter_semigroups(4)] == [
         (1,), (2, 3), (3, 4, 5), (4, 5, 6, 7), (5, 6, 7, 8, 9), (4, 6, 7, 9),
         (4, 5, 7), (4, 5, 6), (3, 5, 7), (3, 7, 8), (3, 5), (3, 4), (2, 5),
@@ -319,42 +319,11 @@ def test_hypothesis_first_failures_beyond_twenty():
         assert 3 * len(S.min_generators) < S.multiplicity
 
 
-def test_sampling_deterministic():
-    # each genus's sample is its k generator tuples of least hash, at every
-    # worker count; genus <= 4 has fewer than k and comes back whole
-    k = 10
-    by_genus = {g: [] for g in range(15)}
-    for S in iter_semigroups(14):
-        by_genus[S.genus].append(S.min_generators)
-    expected = {g: sorted(gens, key=hash)[:k] for g, gens in by_genus.items()}
-    assert len(expected[4]) == NG[3] < k
-    for workers in (1, 2, 3):
-        res = run_census(14, workers=workers, sample=k)
-        assert {g: stats.sample for g, stats in res.items()} == expected
-    assert all(stats.sample == [] for stats in run_census(14).values())
-
-
-def test_sampling_diverse():
-    # 30 draws per genus are distinct, and the share with a nonempty G(S)
-    # is close to the share over the whole genus
-    res = run_census(18, sample=30)
-    nonempty = Counter(S.genus for S in iter_semigroups(18)
-                       if S.genus >= 13 and build_graph(S).n)
-    for g in range(13, 19):
-        drawn = [from_generators(gens) for gens in res[g].sample]
-        assert len(set(drawn)) == 30
-        assert all(S.genus == g for S in drawn)
-        share = sum(1 for S in drawn if build_graph(S).n) / len(drawn)
-        assert abs(share - nonempty[g] / NG[g - 1]) <= 0.2
-
-
 def test_genus_bounds():
     with pytest.raises(ValueError):
         run_census(31)
     with pytest.raises(ValueError):
         run_census(-1)
-    with pytest.raises(ValueError):
-        run_census(5, sample=-1)
 
 
 def test_bucket_totals_pinned():
