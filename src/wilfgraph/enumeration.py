@@ -9,7 +9,9 @@ minimal generators as a bitmask and R the same set reversed, so that one
 mask test decides whether a child gains a generator. ``iter_semigroups``
 wraps a node in a NumericalSemigroup. The census reads the tuples and builds
 a generator tuple only where an output holds one; with no class keys and no
-battery it walks one genus short and counts the last genus from its parents.
+battery it walks two genera short and counts the last two genera from the
+nodes of genus g_max - 2, in bulk with popcounts where no per-node test
+could tell their children apart.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from multiprocessing import get_context
 
 from . import semigraph
@@ -244,6 +246,53 @@ def _graph_entry(mask, m, c, parent, cache):
     return m, x, verts, sig, key
 
 
+def _same_buckets(k, n, m):
+    """Whether |P| = k and |P| = n >= k give the same three |P| tests of
+    BUCKETS (|P| <= 3, 2|P| >= m, 3|P| >= m), and so the same for every |P|
+    between them, as each test is monotone in |P|."""
+    return ((k > 3 or n <= 3) and (2 * k >= m or 2 * n < m)
+            and (3 * k >= m or 3 * n < m))
+
+
+def _count_leaves(mask, m, c, g, P, R, n_p, cases, acc):
+    """Count the children of the node (mask, m, c, g, P, R), |P| = n_p, into
+    ``cases`` as _tally does, without building them, and add those that fail
+    Wilf to their genus in acc (see _tally)."""
+    g += 1
+    bad = acc[g].wilf_violations
+    high = P >> c << c          # the generators above f but m
+    if m >= c:                  # the ordinary child
+        high ^= 1 << m
+        k = n_p + 1
+        if k * (m + 1 - g) <= m:
+            bad.append(_gens(R ^ (1 << (_K - m)) | (3 << (_K - 2 * m - 1))))
+        key = (g, k, m + 1, True)
+        cases[key] = cases.get(key, 0) + 1
+    if not high:
+        return
+    p = (high & -high).bit_length() - 1
+    if _same_buckets(n_p - 1, n_p, m) and (n_p - 1) * (p + 1 - g) > p:
+        lo = (high & ((1 << 3 * m) - 1)).bit_count()
+        key = (g, n_p, m, True)
+        cases[key] = cases.get(key, 0) + lo
+        key = (g, n_p, m, False)
+        cases[key] = cases.get(key, 0) + high.bit_count() - lo
+        return
+    # Rm >> (_K - x) has bit x - q for each generator q != m: q = p gives
+    # bit m, which inner lacks, and q > p meets no member
+    inner, Rm = mask ^ (1 << m), R ^ (1 << (_K - m))
+    while high:
+        p = high.bit_length() - 1
+        high ^= 1 << p
+        x, k = p + m, n_p
+        if inner & (Rm >> (_K - x)):
+            k -= 1
+        if k * (p + 1 - g) <= p:
+            bad.append(_gens(R ^ (1 << (_K - p)) | (k == n_p) << (_K - x)))
+        key = (g, k, m, p < 3 * m)
+        cases[key] = cases.get(key, 0) + 1
+
+
 def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
            cache: dict, battery: bool = False, leaves: bool = False) -> None:
     """Add every node of a preorder stream to the census of its genus in
@@ -260,17 +309,43 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
     that set has the lesser tuple and the larger R, whose top differing bit
     is _K - d.
 
-    With ``leaves`` the stream ends one genus short of acc's last, which is
-    counted from its parents by _descend's rule; a child's tuple is built
-    only if it fails Wilf. S minus p has c' = p + 1 and |P| generators, one
-    less if a generator q in (m, p) leaves p + m - q in S minus p, which the
-    members of S in (m, p) tell; the ordinary child has |P| + 1 and
-    c' = m' = m + 1."""
-    cases: dict = {}        # (genus, first four bucket tests) -> count
+    The census counts each (genus, |P|, m, c <= 3m) and reads the BUCKETS
+    tests off each distinct key at the end.
+
+    With ``leaves`` the stream ends two genera short of acc's last, g_max:
+    each node of genus g_max - 2 counts its children and grandchildren, and
+    a root of genus g_max - 1 its children (_count_leaves). A tuple is built
+    only for a node that fails Wilf. Let p > f be a generator of S, p != m.
+    S' = S minus p has c' = p + 1 and m' = m. Its generators are those of S
+    but p, all still minimal as S' lies in S, and p + m if p + m is no sum
+    in S' (_descend: the members of S in (m, p) tell), so |P'| = k is n_p - 1
+    or n_p. The ordinary child has |P| + 1 and c' = m' = m + 1.
+    - One genus. For k >= 1, k(p + 1 - g') - p is nondecreasing in p, and
+      |L'| = p + 1 - g' >= 0. So if (n_p - 1)(p0 + 1 - g') > p0 at the least
+      child p0, no child fails Wilf. If n_p - 1 and n_p also give the same
+      |P| tests (_same_buckets), every child's key reads as |P| = n_p. Then
+      two popcounts of the generators above f, split at p < 3m (c' <= 3m),
+      count the children; else each child's gain is tested in turn.
+    - Two genera, from a non-ordinary node of genus g. The generators of S'
+      above f' = p are the generators q > p of S and, if gained, p + m, the
+      only new one; its children are S' minus those, so |P''| lies in
+      [n_p - 2, n_p]. Every grandchild has q >= p0 + 1 and |L''| = q - g - 1.
+      So if (n_p - 2)(p0 - g) > p0 + 1, no grandchild fails Wilf, nor any
+      child, as (n_p - 1)(p0 - g) is at least as large. If n_p - 2 and n_p
+      also give the same |P| tests, every key reads as |P| = n_p. With lo
+      and hi the generators above f below 3m and from 3m on, there are
+      lo + hi children, lo with c' <= 3m. The grandchildren are the pairs
+      p < q, of which lo(lo - 1)/2 have q < 3m and lo hi + hi(hi - 1)/2 do
+      not, plus one S' minus (p + m) for each child that gains p + m, with
+      p + m < 3m iff p < 2m. Only the gain needs a mask test, one per child,
+      the one _count_leaves makes. An ordinary node, or one that fails a
+      test, streams its children through _descend and counts each with
+      its own children."""
+    cases: dict = {}        # (genus, |P|, m, c <= 3m) -> count
     # genus -> entry of the last node streamed there: genus is depth, so a
     # node's parent, when streamed, is the last node one genus up
     path: dict = {}
-    last = max(acc) - 1 if leaves else -1
+    top = max(acc) - 2 if leaves else -2
     for mask, m, c, g, P, R in nodes:
         n_p = P.bit_count()
         if n_p * (c - g) < c:           # |L| = c - g
@@ -283,8 +358,8 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             failed = [key for key, ok in report.items() if not ok]
             if failed:
                 acc[g].invariant_failures.append((gens, failed))
-        case = (g, n_p <= 3, c <= 3 * m, 2 * n_p >= m, 3 * n_p >= m)
-        cases[case] = cases.get(case, 0) + 1
+        key = (g, n_p, m, c <= 3 * m)
+        cases[key] = cases.get(key, 0) + 1
         if classes:
             stats = acc[g]
             entry = path[g] = _graph_entry(mask, m, c, path.get(g - 1), cache)
@@ -293,37 +368,58 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             rep = stats.class_representatives.get(key)
             if rep is None or R > rep:
                 stats.class_representatives[key] = R
-        if g == last:
-            g += 1
-            bad = acc[g].wilf_violations
-            high = P >> c << c          # the generators above f but m
-            if m >= c:                  # the ordinary child
-                high ^= 1 << m
-                k = n_p + 1
-                if k * (m + 1 - g) <= m:
-                    bad.append(_gens(R ^ (1 << (_K - m))
-                                     | (3 << (_K - 2 * m - 1))))
-                case = (g, k <= 3, True, 2 * k > m, 3 * k > m)
-                cases[case] = cases.get(case, 0) + 1
-            # R >> (_K - x) has bit x - q for each generator q: q = p gives
-            # m and q = m gives p, no summands; q > p meets no member
-            inner = mask ^ (1 << m)
-            while high:
-                p = high.bit_length() - 1
-                high ^= 1 << p
-                x, k = p + m, n_p
-                if (inner ^ (1 << p)) & (R >> (_K - x)):
-                    k -= 1
-                if k * (p + 1 - g) <= p:
-                    bad.append(_gens(R ^ (1 << (_K - p))
-                                     | (k == n_p) << (_K - x)))
-                case = (g, k <= 3, p < 3 * m, 2 * k >= m, 3 * k >= m)
-                cases[case] = cases.get(case, 0) + 1
-    for (g, *hits), count in cases.items():
-        acc[g].count_ng += count
-        hits.append(any(hits))
-        for name in compress(BUCKETS, hits):
-            acc[g].buckets[name] += count
+        if g == top:
+            if m < c:
+                high = P >> c << c
+                if not high:
+                    continue
+                p = (high & -high).bit_length() - 1
+                if (_same_buckets(n_p - 2, n_p, m)
+                        and (n_p - 2) * (p - g) > p + 1):
+                    lo = (high & ((1 << 3 * m) - 1)).bit_count()
+                    hi = high.bit_count() - lo
+                    # the children that gain p + m, split at p + m < 3m
+                    inner, Rm = mask ^ (1 << m), R ^ (1 << (_K - m))
+                    two = 2 * m
+                    gained_lo = gained_hi = 0
+                    while high:
+                        p = high.bit_length() - 1
+                        high ^= 1 << p
+                        if not inner & (Rm >> (_K - p - m)):
+                            if p < two:
+                                gained_lo += 1
+                            else:
+                                gained_hi += 1
+                    key = (g + 1, n_p, m, True)
+                    cases[key] = cases.get(key, 0) + lo
+                    key = (g + 1, n_p, m, False)
+                    cases[key] = cases.get(key, 0) + hi
+                    key = (g + 2, n_p, m, True)
+                    cases[key] = (cases.get(key, 0) + lo * (lo - 1) // 2
+                                  + gained_lo)
+                    key = (g + 2, n_p, m, False)
+                    cases[key] = (cases.get(key, 0) + lo * hi
+                                  + hi * (hi - 1) // 2 + gained_hi)
+                    continue
+            for child in islice(_descend((mask, m, c, g, P, R), g + 1), 1,
+                                None):
+                _, m_, c_, g_, P_, R_ = child
+                k = P_.bit_count()
+                if k * (c_ - g_) < c_:
+                    acc[g_].wilf_violations.append(_gens(R_))
+                key = (g_, k, m_, c_ <= 3 * m_)
+                cases[key] = cases.get(key, 0) + 1
+                _count_leaves(*child, k, cases, acc)
+        elif g == top + 1:
+            _count_leaves(mask, m, c, g, P, R, n_p, cases, acc)
+    for (g, n_p, m, low), count in cases.items():
+        if count:
+            stats = acc[g]
+            stats.count_ng += count
+            hits = [n_p <= 3, low, 2 * n_p >= m, 3 * n_p >= m]
+            hits.append(any(hits))
+            for name in compress(BUCKETS, hits):
+                stats.buckets[name] += count
     for stats in acc.values():
         reps = stats.class_representatives
         for key, R in reps.items():
@@ -362,7 +458,7 @@ def _batch_job(i):
     batches, g_max, classes, cache, battery, leaves = _batch_state
     acc = {g: GenusCensus(g) for g in range(batches[i][0][3], g_max + 1)}
     _tally((node for root in batches[i]
-            for node in _descend(root, g_max - leaves)),
+            for node in _descend(root, g_max - 2 * leaves)),
            acc, classes, cache, battery, leaves)
     return acc
 
@@ -375,8 +471,8 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     and a fork pool tallies the subtrees below it, in batches. With
     ``battery`` each genus holds the invariant battery's count and its
     failures, sorted by generator tuple (see _tally). With neither classes
-    nor battery, genus g_max is counted from its parents (``leaves``), not
-    walked.
+    nor battery, genera g_max - 1 and g_max are counted from the nodes of
+    genus g_max - 2 (``leaves``), mostly without being walked.
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
@@ -390,8 +486,8 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     leaves = not (classes or battery)
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(_ROOT, g_max - leaves), acc, classes, cache, battery,
-               leaves)
+        _tally(_descend(_ROOT, g_max - 2 * leaves), acc, classes, cache,
+               battery, leaves)
     else:
         frontier: list = []
         _tally(_above(split, frontier), acc, classes, cache, battery)

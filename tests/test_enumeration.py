@@ -238,11 +238,11 @@ def test_worker_cap_before_pool(monkeypatch):
             run_census(12, workers=workers)
 
 
-@pytest.mark.parametrize("g_max", [0, 1, 2, 10, 16, 18])
+@pytest.mark.parametrize("g_max", [0, 1, 2, 10, 11, 12, 16, 18])
 def test_walk_only_census_matches_class_census(g_max):
-    # the class census builds every node of genus g_max; the walk-only
-    # census counts them from their parents, also when the pool's frontier
-    # sits on genus g_max - 1 (g_max = 10)
+    # the class census builds every node; the walk-only census counts the
+    # last two genera from the nodes of genus g_max - 2, also when the pool's
+    # frontier sits on genus g_max - 1 (g_max = 10) or g_max - 2 (g_max = 11)
     full = run_census(g_max, classes=True)
     for workers in (1, 2, 3):
         res = run_census(g_max, workers=workers)
@@ -254,7 +254,9 @@ def test_walk_only_census_matches_class_census(g_max):
 
 
 def test_walk_only_census_stops_a_genus_short(monkeypatch):
-    # the serial walk builds only the nodes of genus < g_max
+    # the serial walk builds the nodes of genus < g_max - 1; of the 1,693
+    # nodes of genus 14, the 286 that are not counted in bulk stream again
+    # through _descend with their 463 children
     built = 0
     descend = enumeration._descend
 
@@ -266,8 +268,19 @@ def test_walk_only_census_stops_a_genus_short(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_descend", counted)
     res = run_census(16)
-    assert built == 1 + sum(NG[:15])
+    assert built == 1 + sum(NG[:14]) + 286 + 463
+    assert res[15].count_ng == NG[14]
     assert res[16].count_ng == NG[15]
+
+
+def _inject(monkeypatch, bad):
+    """Append the node ``bad`` to the walk from the root, as if a broken
+    tree step had produced it; the census's other walks stay as they are."""
+    descend = enumeration._descend
+    monkeypatch.setattr(
+        enumeration, "_descend",
+        lambda node, cut: chain(descend(node, cut), [bad])
+        if node == enumeration._ROOT else descend(node, cut))
 
 
 def test_fused_leaf_wilf_counterexample(monkeypatch):
@@ -278,14 +291,39 @@ def test_fused_leaf_wilf_counterexample(monkeypatch):
     child = [tuple(bit_positions(node[4]))
              for node in enumeration._descend(bad, 5) if node[3] == 5]
     assert child == [(4, 5)]
-    descend = enumeration._descend
-    monkeypatch.setattr(enumeration, "_descend",
-                        lambda node, cut: chain(descend(node, cut), [bad]))
+    _inject(monkeypatch, bad)
     res = run_census(5)
     assert res[4].wilf_violations == []
     assert res[5].wilf_violations == child
     with pytest.raises(WilfCounterexample, match=r"failed for \[\(4, 5\)\]"):
         verify_wilf_range(5)
+
+
+def test_grandchild_wilf_counterexample(monkeypatch):
+    # <7, 9, 10, 12, 13, 15> (genus 8, c = 12, m = 7) read with genus 9
+    # passes, 6 * 3 >= 12, and so do its children S minus 12, 13 and 15; its
+    # grandchild S minus 12 minus 13 = <7, 9, 10, 15> has c'' = 14 and
+    # |L''| = 3, and 4 * 3 < 14 fails. At g_max = 11 the node sits at genus
+    # g_max - 2, where the census counts two genera from one node, and at two
+    # workers it is a batch root
+    gens = (7, 9, 10, 12, 13, 15)
+    S = from_generators(gens)
+    assert (S.genus, S.conductor, S.multiplicity) == (8, 12, 7)
+    bad = _node(S.mask, 7, 12, 9, gens)
+    children = [node for node in enumeration._descend(bad, 10)
+                if node[3] == 10]
+    assert len(children) == 3
+    assert all(P.bit_count() * (c - g) >= c
+               for _, _, c, g, P, _ in children)
+    _inject(monkeypatch, bad)
+    for workers in (1, 2):
+        res = run_census(11, workers=workers)
+        assert res[9].wilf_violations == []
+        assert res[10].wilf_violations == []
+        assert res[11].wilf_violations == [(7, 9, 10, 15)]
+        with pytest.raises(WilfCounterexample,
+                           match=r"failed for \[\(7, 9, 10, 15\)\]"):
+            verify_wilf_range(11, workers=workers)
 
 
 def test_wilf_verification_small():
