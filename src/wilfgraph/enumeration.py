@@ -8,10 +8,12 @@ from its parent's with a few int operations and no sieve: P holds the
 minimal generators as a bitmask and R the same set reversed, so that one
 mask test decides whether a child gains a generator. ``iter_semigroups``
 wraps a node in a NumericalSemigroup. The census reads the tuples and builds
-a generator tuple only where an output holds one; with no class keys and no
-battery it walks two genera short and counts the last two genera from the
-nodes of genus g_max - 2, in bulk with popcounts where no per-node test
-could tell their children apart.
+a generator tuple only where an output holds one. One loop, _count, counts
+every node of a stream; the class keys and the battery are filters on the
+stream in front of it. With neither, the walk stops two genera short, and
+each node of genus g_max - 2 counts the last two genera below it with the
+one bulk rule, _count_below: with popcounts where no per-node test could
+tell its descendants apart, and node by node otherwise.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
@@ -254,103 +256,152 @@ def _same_buckets(k, n, m):
             and (3 * k >= m or 3 * n < m))
 
 
-def _count_leaves(mask, m, c, g, P, R, n_p, cases, acc):
-    """Count the children of the node (mask, m, c, g, P, R), |P| = n_p, into
-    ``cases`` as _tally does, without building them, and add those that fail
-    Wilf to their genus in acc (see _tally)."""
-    g += 1
-    bad = acc[g].wilf_violations
-    high = P >> c << c          # the generators above f but m
-    if m >= c:                  # the ordinary child
+def _count_below(node, n_p, depth, cases, acc):
+    """Count the descendants of the node (mask, m, c, g, P, R), |P| = n_p,
+    down to ``depth`` genera below it (1 or 2), into ``cases`` and acc as
+    _count does, and build them only where a count could tell them apart.
+
+    Let p > f be a generator of S, p != m. By _descend's rule S' = S minus p
+    has m' = m, c' = p + 1 and genus g + 1. Its generators are those of S
+    but p, all still minimal as S' lies in S, and p + m if p + m is no sum
+    in S' (the members of S in (m, p) tell), so |P'| is n_p - 1 or n_p. Its
+    generators above f' = p are the generators q > p of S and, if gained,
+    p + m, and its children S' minus q have c'' = q + 1 and |P''| in
+    [n_p - 2, n_p]. The ordinary child, p = m, has |P| + 1 and
+    c' = m' = m + 1; at depth 1 it is counted apart.
+    - Wilf. Let p0 be the least generator above f but m, d = ``depth`` and
+      k = n_p - d. A descendant d' <= d genera down has |P'| >= k,
+      c' >= p0 + d' and |L'| = c' - g - d'. If k(p0 - g) > p0 + d - 1, then
+      k >= 1 (as p0 >= c >= g), so
+      |P'||L'| - c' >= (k - 1)c' - k(g + d') >= k(p0 - g) - p0 - d' >= 0
+      and no descendant fails Wilf.
+    - Buckets. If also _same_buckets(k, n_p, m), every descendant's key
+      reads as |P| = n_p, and popcounts count them. With lo and hi the
+      generators above f but m below 3m and from 3m on, there are lo + hi
+      children, lo with c' <= 3m. At depth 2 the grandchildren are the pairs
+      p < q, of which lo(lo - 1)/2 have q < 3m and lo hi + hi(hi - 1)/2 do
+      not, plus one S' minus (p + m) for each child that gains p + m, with
+      c'' <= 3m iff p < 2m. Only the gain needs a mask test, one per child.
+    A node that fails either test counts child by child: at depth 1 it
+    tests each child's gain in turn, and at depth 2 it streams its children
+    through _descend back into _count, which counts each one with its own
+    children. So does an ordinary node, S = {0} u [m, oo), at depth 2: it
+    reads p0 = m, and with n_p = m and g = m - 1 the Wilf test m - 2 > m + 1
+    fails.
+    """
+    mask, m, c, g, P, R = node
+    high = P >> c << c          # the generators above f
+    if depth == 1 and m >= c:   # the ordinary child
         high ^= 1 << m
         k = n_p + 1
-        if k * (m + 1 - g) <= m:
-            bad.append(_gens(R ^ (1 << (_K - m)) | (3 << (_K - 2 * m - 1))))
-        key = (g, k, m + 1, True)
+        if k * (m - g) <= m:
+            acc[g + 1].wilf_violations.append(
+                _gens(R ^ (1 << (_K - m)) | (3 << (_K - 2 * m - 1))))
+        key = (g + 1, k, m + 1, True)
         cases[key] = cases.get(key, 0) + 1
     if not high:
         return
     p = (high & -high).bit_length() - 1
-    if _same_buckets(n_p - 1, n_p, m) and (n_p - 1) * (p + 1 - g) > p:
-        lo = (high & ((1 << 3 * m) - 1)).bit_count()
-        key = (g, n_p, m, True)
-        cases[key] = cases.get(key, 0) + lo
-        key = (g, n_p, m, False)
-        cases[key] = cases.get(key, 0) + high.bit_count() - lo
-        return
     # Rm >> (_K - x) has bit x - q for each generator q != m: q = p gives
     # bit m, which inner lacks, and q > p meets no member
     inner, Rm = mask ^ (1 << m), R ^ (1 << (_K - m))
-    while high:
-        p = high.bit_length() - 1
-        high ^= 1 << p
-        x, k = p + m, n_p
-        if inner & (Rm >> (_K - x)):
-            k -= 1
-        if k * (p + 1 - g) <= p:
-            bad.append(_gens(R ^ (1 << (_K - p)) | (k == n_p) << (_K - x)))
-        key = (g, k, m, p < 3 * m)
-        cases[key] = cases.get(key, 0) + 1
+    if (_same_buckets(n_p - depth, n_p, m)
+            and (n_p - depth) * (p - g) > p + depth - 1):
+        lo = (high & ((1 << 3 * m) - 1)).bit_count()
+        hi = high.bit_count() - lo
+        key = (g + 1, n_p, m, True)
+        cases[key] = cases.get(key, 0) + lo
+        key = (g + 1, n_p, m, False)
+        cases[key] = cases.get(key, 0) + hi
+        if depth == 1:
+            return
+        two = 2 * m
+        gained_lo = gained_hi = 0
+        while high:
+            p = high.bit_length() - 1
+            high ^= 1 << p
+            if not inner & (Rm >> (_K - p - m)):
+                if p < two:
+                    gained_lo += 1
+                else:
+                    gained_hi += 1
+        key = (g + 2, n_p, m, True)
+        cases[key] = cases.get(key, 0) + lo * (lo - 1) // 2 + gained_lo
+        key = (g + 2, n_p, m, False)
+        cases[key] = (cases.get(key, 0) + lo * hi + hi * (hi - 1) // 2
+                      + gained_hi)
+    elif depth == 2:
+        _count(islice(_descend(node, g + 1), 1, None), cases, acc, g + 1,
+               g + 2)
+    else:
+        bad = acc[g + 1].wilf_violations
+        while high:
+            p = high.bit_length() - 1
+            high ^= 1 << p
+            x, k = p + m, n_p
+            if inner & (Rm >> (_K - x)):
+                k -= 1
+            if k * (p - g) <= p:    # |L'| = p - g
+                bad.append(_gens(R ^ (1 << (_K - p)) | (k == n_p) << (_K - x)))
+            key = (g + 1, k, m, p < 3 * m)
+            cases[key] = cases.get(key, 0) + 1
 
 
-def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
-           cache: dict, battery: bool = False, leaves: bool = False) -> None:
-    """Add every node of a preorder stream to the census of its genus in
-    acc; ``cache`` maps graph signatures to canonical keys. With
-    ``battery``, each node that passes the Wilf test and has genus <=
-    EXHAUSTIVE_GENUS or 3|P| < m goes through semigraph.invariant_report;
-    its genus counts it and keeps (generator tuple, False keys) if any.
-
-    A class's representative is its member with the least generator tuple,
-    kept as R until the end, and acc must hold no class yet. Within a genus
-    the least tuple has the largest R: no generator set A is a proper prefix
-    of another, B, as A in B gives <A> in <B> and equal genus makes them
-    equal. So at the least generator d that only one of two sets holds,
-    that set has the lesser tuple and the larger R, whose top differing bit
-    is _K - d.
-
-    The census counts each (genus, |P|, m, c <= 3m) and reads the BUCKETS
-    tests off each distinct key at the end.
-
-    With ``leaves`` the stream ends two genera short of acc's last, g_max:
-    each node of genus g_max - 2 counts its children and grandchildren, and
-    a root of genus g_max - 1 its children (_count_leaves). A tuple is built
-    only for a node that fails Wilf. Let p > f be a generator of S, p != m.
-    S' = S minus p has c' = p + 1 and m' = m. Its generators are those of S
-    but p, all still minimal as S' lies in S, and p + m if p + m is no sum
-    in S' (_descend: the members of S in (m, p) tell), so |P'| = k is n_p - 1
-    or n_p. The ordinary child has |P| + 1 and c' = m' = m + 1.
-    - One genus. For k >= 1, k(p + 1 - g') - p is nondecreasing in p, and
-      |L'| = p + 1 - g' >= 0. So if (n_p - 1)(p0 + 1 - g') > p0 at the least
-      child p0, no child fails Wilf. If n_p - 1 and n_p also give the same
-      |P| tests (_same_buckets), every child's key reads as |P| = n_p. Then
-      two popcounts of the generators above f, split at p < 3m (c' <= 3m),
-      count the children; else each child's gain is tested in turn.
-    - Two genera, from a non-ordinary node of genus g. The generators of S'
-      above f' = p are the generators q > p of S and, if gained, p + m, the
-      only new one; its children are S' minus those, so |P''| lies in
-      [n_p - 2, n_p]. Every grandchild has q >= p0 + 1 and |L''| = q - g - 1.
-      So if (n_p - 2)(p0 - g) > p0 + 1, no grandchild fails Wilf, nor any
-      child, as (n_p - 1)(p0 - g) is at least as large. If n_p - 2 and n_p
-      also give the same |P| tests, every key reads as |P| = n_p. With lo
-      and hi the generators above f below 3m and from 3m on, there are
-      lo + hi children, lo with c' <= 3m. The grandchildren are the pairs
-      p < q, of which lo(lo - 1)/2 have q < 3m and lo hi + hi(hi - 1)/2 do
-      not, plus one S' minus (p + m) for each child that gains p + m, with
-      p + m < 3m iff p < 2m. Only the gain needs a mask test, one per child,
-      the one _count_leaves makes. An ordinary node, or one that fails a
-      test, streams its children through _descend and counts each with
-      its own children."""
-    cases: dict = {}        # (genus, |P|, m, c <= 3m) -> count
-    # genus -> entry of the last node streamed there: genus is depth, so a
-    # node's parent, when streamed, is the last node one genus up
-    path: dict = {}
-    top = max(acc) - 2 if leaves else -2
-    for mask, m, c, g, P, R in nodes:
+def _count(nodes, cases, acc, cut, g_max):
+    """Count every node of a preorder stream into ``cases`` by (genus, |P|,
+    m, c <= 3m) and add those that fail Wilf to their genus in acc. A node
+    of genus >= ``cut``, which the stream does not expand, also counts its
+    descendants down to genus ``g_max`` (_count_below)."""
+    for node in nodes:
+        _, m, c, g, P, R = node
         n_p = P.bit_count()
         if n_p * (c - g) < c:           # |L| = c - g
             acc[g].wilf_violations.append(_gens(R))
-        elif battery and (g <= EXHAUSTIVE_GENUS or 3 * n_p < m):
+        key = (g, n_p, m, c <= 3 * m)
+        cases[key] = cases.get(key, 0) + 1
+        if cut <= g < g_max:
+            _count_below(node, n_p, g_max - g, cases, acc)
+
+
+def _classes(nodes, acc, cache):
+    """Pass a preorder stream on, adding each node's graph class to its
+    genus in acc; ``cache`` maps graph signatures to canonical keys.
+
+    A class's representative is its member with the least generator tuple,
+    kept as R until the stream ends, and acc must hold no class yet. Within
+    a genus the least tuple has the largest R: no generator set A is a
+    proper prefix of another, B, as A in B gives <A> in <B> and equal genus
+    makes them equal. So at the least generator d that only one of two sets
+    holds, that set has the lesser tuple and the larger R, whose top
+    differing bit is _K - d.
+    """
+    # genus -> entry of the last node streamed there: genus is depth, so a
+    # node's parent, when streamed, is the last node one genus up
+    path: dict = {}
+    for node in nodes:
+        mask, m, c, g, _, R = node
+        stats = acc[g]
+        entry = path[g] = _graph_entry(mask, m, c, path.get(g - 1), cache)
+        key = entry[4]
+        stats.class_keys[key] += 1
+        rep = stats.class_representatives.get(key)
+        if rep is None or R > rep:
+            stats.class_representatives[key] = R
+        yield node
+    for stats in acc.values():
+        reps = stats.class_representatives
+        for key, R in reps.items():
+            reps[key] = _gens(R)
+
+
+def _battery(nodes, acc):
+    """Pass a stream on, running semigraph.invariant_report on each node
+    that has genus <= EXHAUSTIVE_GENUS or 3|P| < m and passes the Wilf test;
+    its genus counts it and keeps (generator tuple, False keys) if any."""
+    for node in nodes:
+        mask, m, c, g, P, R = node
+        n_p = P.bit_count()
+        if (g <= EXHAUSTIVE_GENUS or 3 * n_p < m) and n_p * (c - g) >= c:
             gens = _gens(R)
             report = semigraph.invariant_report(
                 NumericalSemigroup(mask, m, c, gens))
@@ -358,60 +409,21 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             failed = [key for key, ok in report.items() if not ok]
             if failed:
                 acc[g].invariant_failures.append((gens, failed))
-        key = (g, n_p, m, c <= 3 * m)
-        cases[key] = cases.get(key, 0) + 1
-        if classes:
-            stats = acc[g]
-            entry = path[g] = _graph_entry(mask, m, c, path.get(g - 1), cache)
-            key = entry[4]
-            stats.class_keys[key] += 1
-            rep = stats.class_representatives.get(key)
-            if rep is None or R > rep:
-                stats.class_representatives[key] = R
-        if g == top:
-            if m < c:
-                high = P >> c << c
-                if not high:
-                    continue
-                p = (high & -high).bit_length() - 1
-                if (_same_buckets(n_p - 2, n_p, m)
-                        and (n_p - 2) * (p - g) > p + 1):
-                    lo = (high & ((1 << 3 * m) - 1)).bit_count()
-                    hi = high.bit_count() - lo
-                    # the children that gain p + m, split at p + m < 3m
-                    inner, Rm = mask ^ (1 << m), R ^ (1 << (_K - m))
-                    two = 2 * m
-                    gained_lo = gained_hi = 0
-                    while high:
-                        p = high.bit_length() - 1
-                        high ^= 1 << p
-                        if not inner & (Rm >> (_K - p - m)):
-                            if p < two:
-                                gained_lo += 1
-                            else:
-                                gained_hi += 1
-                    key = (g + 1, n_p, m, True)
-                    cases[key] = cases.get(key, 0) + lo
-                    key = (g + 1, n_p, m, False)
-                    cases[key] = cases.get(key, 0) + hi
-                    key = (g + 2, n_p, m, True)
-                    cases[key] = (cases.get(key, 0) + lo * (lo - 1) // 2
-                                  + gained_lo)
-                    key = (g + 2, n_p, m, False)
-                    cases[key] = (cases.get(key, 0) + lo * hi
-                                  + hi * (hi - 1) // 2 + gained_hi)
-                    continue
-            for child in islice(_descend((mask, m, c, g, P, R), g + 1), 1,
-                                None):
-                _, m_, c_, g_, P_, R_ = child
-                k = P_.bit_count()
-                if k * (c_ - g_) < c_:
-                    acc[g_].wilf_violations.append(_gens(R_))
-                key = (g_, k, m_, c_ <= 3 * m_)
-                cases[key] = cases.get(key, 0) + 1
-                _count_leaves(*child, k, cases, acc)
-        elif g == top + 1:
-            _count_leaves(mask, m, c, g, P, R, n_p, cases, acc)
+        yield node
+
+
+def _tally(nodes, acc: dict[int, GenusCensus], cut: int, classes: bool,
+           cache: dict, battery: bool) -> None:
+    """Add a preorder stream to the census in acc, the nodes of genus >=
+    ``cut`` with their descendants to acc's last genus (_count), through
+    the class and battery filters that ``classes`` and ``battery`` ask for.
+    The BUCKETS tests are read off each distinct key at the end."""
+    if classes:
+        nodes = _classes(nodes, acc, cache)
+    if battery:
+        nodes = _battery(nodes, acc)
+    cases: dict = {}        # (genus, |P|, m, c <= 3m) -> count
+    _count(nodes, cases, acc, cut, max(acc))
     for (g, n_p, m, low), count in cases.items():
         if count:
             stats = acc[g]
@@ -420,10 +432,6 @@ def _tally(nodes, acc: dict[int, GenusCensus], classes: bool,
             hits.append(any(hits))
             for name in compress(BUCKETS, hits):
                 stats.buckets[name] += count
-    for stats in acc.values():
-        reps = stats.class_representatives
-        for key, R in reps.items():
-            reps[key] = _gens(R)
 
 
 def _above(split, frontier):
@@ -443,7 +451,7 @@ def _deal(frontier, workers):
     return [frontier[i::count] for i in range(count)]
 
 
-# (batches, g_max, classes, cache, battery, leaves) of run_census, set only in
+# (batches, g_max, cut, classes, cache, battery) of run_census, set only in
 # a forked pool worker: fork hands the batches and the parent's graph-key
 # cache over unpickled, and the worker keeps filling it across its batches
 _batch_state = None
@@ -455,11 +463,10 @@ def _init_worker(*state):
 
 
 def _batch_job(i):
-    batches, g_max, classes, cache, battery, leaves = _batch_state
+    batches, g_max, cut, classes, cache, battery = _batch_state
     acc = {g: GenusCensus(g) for g in range(batches[i][0][3], g_max + 1)}
-    _tally((node for root in batches[i]
-            for node in _descend(root, g_max - 2 * leaves)),
-           acc, classes, cache, battery, leaves)
+    _tally((node for root in batches[i] for node in _descend(root, cut)),
+           acc, cut, classes, cache, battery)
     return acc
 
 
@@ -470,9 +477,10 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
     With workers > 1 the parent tallies the tree above the frontier genus
     and a fork pool tallies the subtrees below it, in batches. With
     ``battery`` each genus holds the invariant battery's count and its
-    failures, sorted by generator tuple (see _tally). With neither classes
-    nor battery, genera g_max - 1 and g_max are counted from the nodes of
-    genus g_max - 2 (``leaves``), mostly without being walked.
+    failures, sorted by generator tuple (see _battery). With neither classes
+    nor battery the walk stops at genus g_max - 2, and genera g_max - 1 and
+    g_max are counted from its nodes (_count_below), mostly without being
+    walked.
     """
     if not 0 <= g_max <= GENUS_HARD_CAP:
         raise ValueError(f"genus bound must be within 0..{GENUS_HARD_CAP}, "
@@ -483,18 +491,17 @@ def run_census(g_max: int, workers: int = 1, classes: bool = False,
                          f"got {workers}")
     acc = {g: GenusCensus(g) for g in range(g_max + 1)}
     cache: dict = {}
-    leaves = not (classes or battery)
+    cut = g_max if classes or battery else g_max - 2
     split = max(g_max - _SPLIT_DEPTH, _SPLIT_FLOOR)
     if workers == 1 or split >= g_max:
-        _tally(_descend(_ROOT, g_max - 2 * leaves), acc, classes, cache,
-               battery, leaves)
+        _tally(_descend(_ROOT, cut), acc, cut, classes, cache, battery)
     else:
         frontier: list = []
-        _tally(_above(split, frontier), acc, classes, cache, battery)
+        _tally(_above(split, frontier), acc, split, classes, cache, battery)
         batches = _deal(frontier, workers)
         with get_context("fork").Pool(
                 workers, _init_worker,
-                (batches, g_max, classes, cache, battery, leaves)) as pool:
+                (batches, g_max, cut, classes, cache, battery)) as pool:
             for part in pool.imap_unordered(_batch_job, range(len(batches))):
                 for g, stats in part.items():
                     acc[g].merge(stats)

@@ -372,14 +372,10 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
       w + (z - w) = z makes w a vertex.
     """
     ap = apery_analyze(S)
-    adjacency = neighbor_masks(apery_mask(S.mask, S.multiplicity, S.conductor))
-    return _report(S, ap, tuple(adjacency), *positional_rows(adjacency))
-
-
-def _report(S, ap, verts, rows, loops) -> dict[str, bool]:
-    """invariant_report on G(S) as a census entry holds it: its vertices in
-    increasing order, and its rows and loop mask from positional_rows."""
     m, x = S.multiplicity, ap.apery_x
+    adjacency = neighbor_masks(apery_mask(S.mask, m, S.conductor))
+    verts = tuple(adjacency)
+    rows, loops = positional_rows(adjacency)
     checks = {"apery_one_per_class": (len(x) == m - 1
                                       and len({v % m for v in x}) == m - 1),
               "apery_max": not x or max(x) == S.conductor + m - 1}

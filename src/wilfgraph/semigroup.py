@@ -77,12 +77,6 @@ class NumericalSemigroup:
 
     __contains__ = is_member
 
-    def members_below(self, bound: int) -> list[int]:
-        """All members of S in [0, bound), in increasing order."""
-        c = self.conductor
-        low = self.mask & ((1 << max(min(bound, c), 0)) - 1)
-        return bit_positions(low) + list(range(c, bound))
-
     def divides(self, a: int, b: int) -> bool:
         """The relation a <= b in S, i.e. b - a is a member."""
         return self.is_member(b - a)

@@ -322,7 +322,7 @@ def lengths(S, top):
     elements of S*."""
     m = S.multiplicity
     out = {}
-    for z in S.members_below(top + 1):
+    for z in members_below(S, top + 1):
         if z >= m:
             out[z] = max((out[a] + out[z - a] for a in factors(S, z)),
                          default=1)
@@ -435,6 +435,11 @@ def gaps(S):
 def small_elements(S):
     """The set L of members smaller than the conductor."""
     return {x for x in range(S.conductor) if S.is_member(x)}
+
+
+def members_below(S, bound):
+    """The members of S in [0, bound), increasing."""
+    return [x for x in range(bound) if S.is_member(x)]
 
 
 def decomposables_below(S, bound):

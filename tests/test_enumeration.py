@@ -326,6 +326,65 @@ def test_grandchild_wilf_counterexample(monkeypatch):
             verify_wilf_range(11, workers=workers)
 
 
+def _read(cases):
+    """Counts by (genus, |P| <= 3, c <= 3m, 2|P| >= m, 3|P| >= m), the
+    census's bucket tests: the bulk rule may file a node under another |P|
+    with the same tests."""
+    out = Counter()
+    for (g, n_p, m, low), n in cases.items():
+        out[g, n_p <= 3, low, 2 * n_p >= m, 3 * n_p >= m] += n
+    return +out
+
+
+def _walk_below(node, depth):
+    """The (genus, |P|, m, c <= 3m) counts of the descendants of ``node`` down
+    to ``depth`` genera below it, and those that fail Wilf as (genus,
+    generators), read off the walk of its subtree."""
+    cases, bad = Counter(), []
+    for _, m, c, g, P, _ in enumeration._descend(node, node[3] + depth):
+        if g > node[3]:
+            n_p = P.bit_count()
+            cases[g, n_p, m, c <= 3 * m] += 1
+            if n_p * (c - g) < c:
+                bad.append((g, tuple(bit_positions(P))))
+    return cases, sorted(bad)
+
+
+def test_count_below_matches_walk():
+    # node by node, not summed over a genus, so that two errors of the bulk
+    # rule cannot cancel: every node of genus <= 12, the doctored nodes of
+    # the two tests above, and two semigroups read with a larger genus that
+    # sit on the Wilf bound, (n_p - d)(p0 - g) = p0 + d - 1, with a
+    # descendant d genera down that fails Wilf: <9, ..., 12, 14, ..., 17>
+    # (genus 9 read as 12, d = 1) and <7, 10, 11, 12, 15, 16> (genus 9 read
+    # as 11, d = 2)
+    doctored = [_node(0b1111110001, 4, 6, 4, (4, 5, 6))]
+    for gens, g in [((7, 9, 10, 12, 13, 15), 9),
+                    ((9, 10, 11, 12, 14, 15, 16, 17), 12),
+                    ((7, 10, 11, 12, 15, 16), 11)]:
+        S = from_generators(gens)
+        doctored.append(_node(S.mask, S.multiplicity, S.conductor, g, gens))
+    failures = 0
+    for node in chain(enumeration._descend(enumeration._ROOT, 12), doctored):
+        g = node[3]
+        for depth in (1, 2):
+            cases = {}
+            acc = {h: enumeration.GenusCensus(h)
+                   for h in range(g + 1, g + depth + 1)}
+            enumeration._count_below(node, node[4].bit_count(), depth, cases,
+                                     acc)
+            want, bad = _walk_below(node, depth)
+            assert min(cases.values(), default=0) >= 0
+            assert _read(cases) == _read(want), (bit_positions(node[4]), depth)
+            assert sorted((h, gens) for h, stats in acc.items()
+                          for gens in stats.wilf_violations) == bad, \
+                (bit_positions(node[4]), depth)
+            failures += len(bad)
+    # (4, 5) and (9, 10, 11, 12, 15, 16, 17) at depth 1 and 2, and at depth
+    # 2 (7, 9, 10, 15), (9, 10, 11, 12, 16, 17) and (7, 10, 11, 12)
+    assert failures == 7
+
+
 def test_wilf_verification_small():
     report = verify_wilf_range(10)
     assert report.total == 1 + sum(NG[:10])

@@ -308,7 +308,8 @@ def _pseudo_semigroups(draw):
                          max_size=3))
     low = draw(st.sets(st.integers(min_value=1, max_value=max(m - 1, 1)),
                        max_size=1))
-    small = sorted(x for x in set(S.members_below(c)) ^ flips | low if x < c)
+    small = sorted(x for x in set(oracles.members_below(S, c)) ^ flips | low
+                   if x < c)
     members = set(small) | set(range(c, c + m))
     big = sorted(x for x in members if x >= m)
     gens = [z for z in big if not any(z - a in big for a in big if a < z)]
