@@ -160,7 +160,7 @@ def cmd_graph(args) -> int:
         lines.append("empty graph (maximal embedding dimension semigroup)"
                      if args.gens is not None else "empty graph")
     lines.append(f"vertices {G.n}, edges {G.edge_count} "
-                 f"({len(G.true_edges)} true + {G.loop_count} loops)")
+                 f"({G.edge_count - G.loop_count} true + {G.loop_count} loops)")
     lines.append(f"vm k = {ma.vm}, lambda = {G.loop_count}, nu = {ma.nu}")
     lines.append(f"|E0| = {len(weak)} weak, "
                  f"|E+| = {len(ma.active_edges)} active")

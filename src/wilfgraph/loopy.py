@@ -19,42 +19,38 @@ _MAX_CATALOG = 6
 class LoopyGraph:
     """Undirected graph with optional loops; every vertex meets an edge.
 
-    ``true_edges`` holds sorted 2-tuples of distinct vertices, ``loops`` the
-    loopy vertices. Vertex labels only need to be sortable and hashable;
-    associated graphs of semigroups use the Apery elements themselves.
+    Stored over vertex positions, the vertices sorted: row i of ``_adj``
+    holds the positions adjacent to vertex i, never i itself, and
+    ``_loopmask`` the loopy positions. ``true_edges`` (sorted 2-tuples of
+    distinct vertices) and ``loops`` are read off that form. Vertex labels
+    only need to be sortable and hashable; associated graphs of semigroups
+    use the Apery elements themselves.
     """
 
-    __slots__ = ("vertices", "true_edges", "loops", "_pos", "_adj", "_loopmask")
+    __slots__ = ("vertices", "_pos", "_adj", "_loopmask")
 
     def __init__(self, vertices, true_edges=(), loops=()):
         self.vertices = tuple(sorted(set(vertices)))
-        vset = set(self.vertices)
-        edges = set()
+        pos = self._pos = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * len(self.vertices)
         for a, b in true_edges:
             if a == b:
                 raise ValueError(f"loop {a!r} passed as a true edge")
-            if a not in vset or b not in vset:
+            if a not in pos or b not in pos:
                 raise ValueError(f"edge ({a!r}, {b!r}) leaves the vertex set")
-            edges.add((a, b) if a <= b else (b, a))
-        self.true_edges = frozenset(edges)
-        self.loops = frozenset(loops)
-        if not self.loops <= vset:
-            raise ValueError("loop at a vertex outside the vertex set")
-        touched = set(self.loops)
-        for a, b in edges:
-            touched.add(a)
-            touched.add(b)
-        isolated = vset - touched
+            adj[pos[a]] |= 1 << pos[b]
+            adj[pos[b]] |= 1 << pos[a]
+        loopmask = 0
+        for v in loops:
+            if v not in pos:
+                raise ValueError("loop at a vertex outside the vertex set")
+            loopmask |= 1 << pos[v]
+        isolated = [v for i, v in enumerate(self.vertices)
+                    if not adj[i] and not loopmask >> i & 1]
         if isolated:
-            raise ValueError(f"isolated vertices not allowed: {sorted(isolated)}")
-        # positional bitmask form used by matching and canonical labeling
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
-        adj = [0] * len(self.vertices)
-        for a, b in edges:
-            adj[self._pos[a]] |= 1 << self._pos[b]
-            adj[self._pos[b]] |= 1 << self._pos[a]
+            raise ValueError(f"isolated vertices not allowed: {isolated}")
         self._adj = tuple(adj)
-        self._loopmask = sum(1 << self._pos[v] for v in self.loops)
+        self._loopmask = loopmask
 
     @classmethod
     def _from_rows(cls, vertices: tuple, rows, loopmask: int) -> "LoopyGraph":
@@ -66,15 +62,6 @@ class LoopyGraph:
         G._pos = {v: i for i, v in enumerate(vertices)}
         G._adj = tuple(rows)
         G._loopmask = loopmask
-        edges = []
-        for i, row in enumerate(rows):
-            a, row = vertices[i], row >> i + 1
-            while row:
-                low = row & -row
-                edges.append((a, vertices[i + low.bit_length()]))
-                row ^= low
-        G.true_edges = frozenset(edges)
-        G.loops = frozenset(vertices[i] for i in bit_positions(loopmask))
         return G
 
     # -- basic accessors ---------------------------------------------------
@@ -84,16 +71,39 @@ class LoopyGraph:
         return len(self.vertices)
 
     @property
+    def true_edges(self) -> frozenset:
+        return frozenset(self.all_edges()[:self.edge_count - self.loop_count])
+
+    @property
+    def loops(self) -> frozenset:
+        return frozenset(self.vertices[i]
+                         for i in bit_positions(self._loopmask))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.true_edges) + len(self.loops)
+        return sum(row.bit_count() for row in self._adj) // 2 + self.loop_count
 
     @property
     def loop_count(self) -> int:
-        return len(self.loops)
+        return self._loopmask.bit_count()
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The edges as position pairs (i, j), i <= j: the true edges in
+        order, then the loops."""
+        pairs = []
+        for i, row in enumerate(self._adj):
+            row >>= i + 1
+            while row:
+                low = row & -row
+                pairs.append((i, i + low.bit_length()))
+                row ^= low
+        return pairs + [(i, i) for i in bit_positions(self._loopmask)]
 
     def all_edges(self) -> list[tuple]:
-        """True edges plus loops, a loop at v appearing as (v, v). Sorted."""
-        return sorted(self.true_edges) + sorted((v, v) for v in self.loops)
+        """True edges plus loops, a loop at v appearing as (v, v). Sorted:
+        the true edges, then the loops, as positions are monotone in labels."""
+        verts = self.vertices
+        return [(verts[i], verts[j]) for i, j in self._pairs()]
 
     def neighbors(self, v) -> set:
         """N(v): adjacent vertices, including v itself when v is loopy."""
@@ -106,19 +116,19 @@ class LoopyGraph:
         return self._adj[i].bit_count() + (self._loopmask >> i & 1)
 
     def has_edge(self, a, b) -> bool:
-        if a == b:
-            return a in self.loops
-        return ((a, b) if a <= b else (b, a)) in self.true_edges
+        i, j = self._pos.get(a), self._pos.get(b)
+        return (i is not None and j is not None
+                and (self._adj[i] | self._loopmask & 1 << i) >> j & 1 == 1)
 
     def __eq__(self, other):
         if not isinstance(other, LoopyGraph):
             return NotImplemented
         return (self.vertices == other.vertices
-                and self.true_edges == other.true_edges
-                and self.loops == other.loops)
+                and self._adj == other._adj
+                and self._loopmask == other._loopmask)
 
     def __hash__(self):
-        return hash((self.vertices, self.true_edges, self.loops))
+        return hash((self.vertices, self._adj, self._loopmask))
 
     def __repr__(self):
         return (f"LoopyGraph(n={self.n}, edges={sorted(self.true_edges)}, "
@@ -166,7 +176,7 @@ class LoopyGraph:
         active = set(active)
         lines = ["graph G {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_id(v)};")
         for e in self.all_edges():
             attrs = []
             if e in weak:
@@ -174,13 +184,18 @@ class LoopyGraph:
             if e in active:
                 attrs.append("penwidth=2.0")
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{e[0]}" -- "{e[1]}"{suffix};')
+            lines.append(f"  {_dot_id(e[0])} -- {_dot_id(e[1])}{suffix};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def canonical_key(self) -> str:
         """Relabeling-invariant key; equal keys iff loopy-isomorphic graphs."""
         return _canonical_key(self.n, self._adj, self._loopmask)
+
+
+def _dot_id(v) -> str:
+    """v as a quoted DOT ID, its backslashes and double quotes escaped."""
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def loopy_complete(n: int) -> LoopyGraph:

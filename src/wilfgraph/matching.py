@@ -156,8 +156,15 @@ def vm(G: LoopyGraph) -> int:
 
 
 def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
-    """Full matching analysis; with no weak edges, nu equals vm."""
-    weak = frozenset(weak_edges)
+    """Full matching analysis; with no weak edges, nu equals vm. A weak pair
+    may name its ends in either order; one that is no edge raises ValueError.
+    """
+    weak = set()
+    for a, b in weak_edges:
+        if not G.has_edge(a, b):
+            raise ValueError(f"weak pair ({a!r}, {b!r}) is not an edge")
+        weak.add((a, b) if a <= b else (b, a))
+    weak = frozenset(weak)
     edges, triples = _edge_triples(G, weak)
     k, nu, chosen = _solve(triples, G.n)((1 << G.n) - 1)
     witness = tuple(edges[i] for i in sorted(chosen))
@@ -166,7 +173,10 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
     if not 0 <= nu <= k:
         raise InvariantViolation(f"nu = {nu} outside [0, {k}]")
     # every vertex-maximal matching meets all loops
-    if not G.loops <= {v for e in witness for v in e}:
+    covered = 0
+    for i in chosen:
+        covered |= triples[i][0]
+    if G._loopmask & ~covered:
         raise InvariantViolation("a vertex-maximal matching misses a loop")
     return MatchingAnalysis(vm=k, nu=nu, witness_matching=witness,
                             _graph=G, _weak=weak)
@@ -178,16 +188,15 @@ def edge_maximal_check(G: LoopyGraph) -> bool:
 
     Raises NotEdgeMaximal if some edge can still be added without raising vm.
     """
-    k = vm(G)
-    for i, a in enumerate(G.vertices):
-        if a not in G.loops and vm(G.with_edge(a, a)) == k:
-            raise NotEdgeMaximal(f"loop at {a!r} keeps vm at {k}")
-        for b in G.vertices[i + 1:]:
-            if not G.has_edge(a, b) and vm(G.with_edge(a, b)) == k:
-                raise NotEdgeMaximal(f"edge ({a!r}, {b!r}) keeps vm at {k}")
-    loopy = sorted(G.loops)
-    return all(G.has_edge(a, b)
-               for i, a in enumerate(loopy) for b in loopy[i + 1:])
+    k, verts, complete = vm(G), G.vertices, True
+    for i, a in enumerate(verts):
+        for b in verts[i:]:
+            if not G.has_edge(a, b):
+                if vm(G.with_edge(a, b)) == k:
+                    what = f"loop at {a!r}" if a == b else f"edge ({a!r}, {b!r})"
+                    raise NotEdgeMaximal(f"{what} keeps vm at {k}")
+                complete &= not (G.has_edge(a, a) and G.has_edge(b, b))
+    return complete
 
 
 def extremal_edge_search(n: int, k: int, loops: int | None = None

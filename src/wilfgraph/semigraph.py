@@ -7,14 +7,14 @@ Apery elements; depths classify edges as weak (depth sum q - 1) or normal.
 The provable inequalities and structural statements that a wrong mask, wrong
 generators or a wrong layer can falsify are exposed here as checkable
 predicates: each holds for every semigroup, so any False is a bug detector.
-invariant_report checks them all in one pass over G(S) by vertex positions,
-and builds a labeled LoopyGraph only when its matching cache misses.
+invariant_report builds G(S) with build_graph, checks them all in one pass
+over its rows by vertex positions, and solves its matching only when the
+matching cache misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from . import matching
 from .apery import AperyAnalysis, analyze as apery_analyze
@@ -81,26 +81,16 @@ class WeightAnalysis:
     weak: frozenset
 
 
-def _edge_pass(verts, rows, loops, apery: AperyAnalysis):
-    """weight_analysis on G over positions (``verts`` its vertices in
-    increasing order, ``rows`` and ``loops`` from positional_rows): the
-    bitmask of X0 and the weak edges as position pairs (i, j), i <= j. The
-    edges go in the order of G.all_edges(), so a raise names the same first
-    failing edge: the true edges (i, j), i < j, in order (positions are
-    monotone in labels), then the loops."""
-    pairs = []
-    for i, row in enumerate(rows):
-        row >>= i + 1
-        while row:
-            low = row & -row
-            pairs.append((i, i + low.bit_length()))
-            row ^= low
-    pairs += [(i, i) for i in range(len(rows)) if loops >> i & 1]
+def _edge_pass(G: LoopyGraph, apery: AperyAnalysis):
+    """weight_analysis on G's rows: the bitmask of X0 and the weak edges as
+    position pairs (i, j), i <= j. The edges go in the order of
+    G.all_edges(), so a raise names the same first failing edge."""
+    verts = G.vertices
     q, rho, depth_of = apery.depth_q, apery.rho, apery.depth_of
     floor = q - min(rho, 1)
     weights = x0 = 0
     weak = []
-    for i, j in pairs:
+    for i, j in G._pairs():
         a, b = verts[i], verts[j]
         s = depth_of[a] + depth_of[b]
         if s < floor:
@@ -131,7 +121,7 @@ def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
     which no associated graph can exhibit.
     """
     verts = G.vertices
-    x0, weak = _edge_pass(verts, G._adj, G._loopmask, apery)
+    x0, weak = _edge_pass(G, apery)
     fibers: dict[int, set] = {}
     for a, b in G.all_edges():
         fibers.setdefault(a + b, set()).add((a, b))
@@ -140,42 +130,31 @@ def weight_analysis(G: LoopyGraph, apery: AperyAnalysis) -> WeightAnalysis:
                           frozenset((verts[i], verts[j]) for i, j in weak))
 
 
-# (n, packed positional graph and weak set) -> (vm, nu), per process; cleared
+# (rows, loop mask, weak position pairs) -> (vm, nu), per process; cleared
 # when full, so a long walk holds at most this many entries
 _MATCHING_CACHE_MAX = 1 << 16
-_matching_cache: dict[tuple[int, int], tuple[int, int]] = {}
+_matching_cache: dict[tuple, tuple[int, int]] = {}
 
 
-def _matching_numbers(verts, rows, loops, weak) -> tuple[int, int]:
-    """(vm, nu) of G over positions and the weak edges of _edge_pass, cached.
+def _matching_numbers(G: LoopyGraph, weak) -> tuple[int, int]:
+    """(vm, nu) of G and the weak edges of _edge_pass, cached.
 
-    The key packs G's positional form into one int beside n: row i at bits
-    [i n, (i + 1) n), the loop mask at [n^2, n^2 + n), and above those one
-    bit at (n + 1 + i) n + j for each weak edge (i, j). Given n each part has
-    its own bits, so the key is injective.
-
-    The cached pair is what matching.analyze returns on the LoopyGraph and
-    weak label pairs that a miss builds. Positions are monotone in labels,
-    so the edge order of _edge_triples (sorted true edges, then loops) is
-    the order of their position pairs. Each triple's mask and touch come
-    from positions and its bonus from the weak bit. So the triples, the
-    edge cap, the solver's optimum and chosen indices, and with them every
-    raise of analyze (the loops a witness covers are read off those
-    indices) depend on the key alone. A miss that raises caches nothing.
+    The key is G's rows, its loop mask and the weak position pairs. The
+    cached pair is what matching.analyze returns on G and the weak label
+    pairs: the edge order of _edge_triples, G.all_edges(), is the order of
+    the rows' position pairs, each triple's mask and touch come from
+    positions and its bonus from the weak pairs. So the triples, the edge
+    cap, the solver's optimum and chosen indices, and with them every raise
+    of analyze, depend on the key alone. A miss that raises caches nothing.
     """
-    n = len(verts)
-    key = loops
-    for row in reversed(rows):
-        key = key << n | row
-    for i, j in weak:
-        key |= 1 << n * (n + 1 + i) + j
-    hit = _matching_cache.get((n, key))
+    key = G._adj, G._loopmask, tuple(weak)
+    hit = _matching_cache.get(key)
     if hit is None:
-        ma = matching.analyze(LoopyGraph._from_rows(verts, rows, loops),
-                              frozenset((verts[i], verts[j]) for i, j in weak))
+        verts = G.vertices
+        ma = matching.analyze(G, [(verts[i], verts[j]) for i, j in weak])
         if len(_matching_cache) >= _MATCHING_CACHE_MAX:
             _matching_cache.clear()
-        hit = _matching_cache[n, key] = ma.vm, ma.nu
+        hit = _matching_cache[key] = ma.vm, ma.nu
     return hit
 
 
@@ -205,8 +184,8 @@ def structural_lemma_suite(S: NumericalSemigroup, G: LoopyGraph,
     z - a members from m on, are big & (rev >> (t - 1 - z)). X lies below
     t, and for z in X a factor and its cofactor lie in [m, z - m], below c,
     where the mask and is_member agree. V, the neighborhoods, the degrees,
-    the loops and |E| are read from G.vertices, G._adj and G._loopmask
-    alone, turned from vertex positions into such masks.
+    the loops and |E| are read from G's rows and loop mask, turned from
+    vertex positions into such masks.
     """
     m, top = S.multiplicity, S.conductor + S.multiplicity - 1
     mem = S.mask
@@ -373,17 +352,13 @@ def invariant_report(S: NumericalSemigroup) -> dict[str, bool]:
     """
     ap = apery_analyze(S)
     m, x = S.multiplicity, ap.apery_x
-    adjacency = neighbor_masks(apery_mask(S.mask, m, S.conductor))
-    verts = tuple(adjacency)
-    rows, loops = positional_rows(adjacency)
+    G = build_graph(S)
     checks = {"apery_one_per_class": (len(x) == m - 1
                                       and len({v % m for v in x}) == m - 1),
               "apery_max": not x or max(x) == S.conductor + m - 1}
-    _, weak = _edge_pass(verts, rows, loops, ap)
-    vm, nu = _matching_numbers(verts, rows, loops, weak)
-    n, q = len(verts), ap.depth_q
-    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, q, nu, n, vm)
-    # all of a LoopyGraph that the suite reads
-    G = SimpleNamespace(vertices=verts, _adj=rows, _loopmask=loops)
+    _, weak = _edge_pass(G, ap)
+    vm, nu = _matching_numbers(G, weak)
+    checks["tau_lower_bound"] = tau_bound_holds(ap.tau_x, ap.depth_q, nu,
+                                                G.n, vm)
     checks.update(structural_lemma_suite(S, G, ap))
     return checks

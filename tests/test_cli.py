@@ -77,6 +77,17 @@ def test_graph_dot(capsys):
     assert out.count("--") == 10
 
 
+def test_graph_dot_escapes_labels(capsys, tmp_path):
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({"vertices": ['a"b', "c\\"],
+                                "edges": [['a"b', "c\\"]]}))
+    code, out, _ = run(capsys, "graph", "--graph", str(path), "--format",
+                       "dot")
+    assert code == 0
+    assert out.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\";',
+                                     '  "a\\"b" -- "c\\\\" [penwidth=2.0];']
+
+
 def test_graph_med_notice(capsys):
     code, out, _ = run(capsys, "graph", "--gens", "4,5,6,7")
     assert code == 0

@@ -321,6 +321,39 @@ def test_json_roundtrip():
     assert LoopyGraph.from_json(data) == G
 
 
+@st.composite
+def _labeled_any(draw):
+    """(vertices, true edges in either orientation, loops), no isolated
+    vertex, the labels all ints, all strings or all tuples."""
+    label = draw(st.sampled_from([
+        st.integers(-20, 20), st.text(max_size=3),
+        st.tuples(st.integers(0, 2), st.text("ab", max_size=2))]))
+    verts = draw(st.lists(label, unique=True, max_size=8))
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
+    edges = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in pairs if draw(st.booleans())]
+    loops = [v for v in verts if draw(st.booleans())]
+    touched = {v for e in edges for v in e} | set(loops)
+    return [v for v in verts if v in touched], edges, loops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_any())
+def test_rows_are_the_stored_form(case):
+    verts, edges, loops = case
+    G = LoopyGraph(verts, edges, loops)
+    H = LoopyGraph._from_rows(G.vertices, G._adj, G._loopmask)
+    assert H == G and hash(H) == hash(G)
+    true_edges = {(a, b) if a < b else (b, a) for a, b in edges}
+    assert G.true_edges == true_edges and G.loops == set(loops)
+    assert G.edge_count == len(edges) + len(loops)
+    assert G.loop_count == len(loops)
+    # matching's witness order and the battery's cache key rely on this
+    assert G.all_edges() == (sorted(G.true_edges)
+                             + sorted((v, v) for v in G.loops))
+    assert LoopyGraph.from_json(G.to_json()) == G
+
+
 def test_dot_output():
     G = LoopyGraph([1, 2], [(1, 2)], [1])
     dot = G.to_dot(weak={(1, 2)}, active={(1, 1)})

@@ -72,6 +72,16 @@ def test_mixed_weak_normal_instance():
     assert ma.active_edges == frozenset(act)
 
 
+def test_weak_pairs_normalized_and_checked():
+    G = LoopyGraph([1, 2], [(1, 2)])
+    assert analyze_matchings(G, {(2, 1)}).nu == 0
+    assert analyze_matchings(G, {(1, 2)}).nu == 0
+    with pytest.raises(ValueError, match=r"\(1, 1\) is not an edge"):
+        analyze_matchings(G, {(1, 2), (1, 1)})
+    with pytest.raises(ValueError, match=r"\(3, 1\) is not an edge"):
+        analyze_matchings(G, [(3, 1)])
+
+
 def test_oracle_equivalence_catalogs():
     rng = random.Random(7)
     for n in range(1, 5):

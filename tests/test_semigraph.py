@@ -344,11 +344,11 @@ def test_lemma_suite_matches_oracle_on_pseudo_semigroups(inputs):
 
 
 def _cached(G, weak):
-    """semigraph._matching_numbers on G's positional form, the weak label
-    pairs (a, b), a <= b, turned into position pairs."""
+    """semigraph._matching_numbers on G and the weak label pairs (a, b),
+    a <= b, turned into position pairs in the order of _edge_pass."""
     pos = G._pos
-    return semigraph._matching_numbers(G.vertices, G._adj, G._loopmask,
-                                       [(pos[a], pos[b]) for a, b in weak])
+    return semigraph._matching_numbers(
+        G, [(pos[a], pos[b]) for a, b in G.all_edges() if (a, b) in weak])
 
 
 def test_matching_cache_matches_fresh_solves(monkeypatch):
