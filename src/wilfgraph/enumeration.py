@@ -13,7 +13,8 @@ every node of a stream; the class keys and the battery are filters on the
 stream in front of it. With neither, the walk stops two genera short, and
 each node of genus g_max - 2 counts the last two genera below it with the
 one bulk rule, _count_below: with popcounts where no per-node test could
-tell its descendants apart, and node by node otherwise.
+tell its descendants apart, and otherwise by streaming its children
+through _descend back into _count.
 
 The walk powers the per-genus counts, the graph-equivalence class counts
 (canonical keys of the associated graphs), the Wilf verification with its
@@ -267,9 +268,8 @@ def _count_below(node, n_p, depth, cases, acc):
     in S' (the members of S in (m, p) tell), so |P'| is n_p - 1 or n_p. Its
     generators above f' = p are the generators q > p of S and, if gained,
     p + m, and its children S' minus q have c'' = q + 1 and |P''| in
-    [n_p - 2, n_p]. The ordinary child, p = m, has |P| + 1 and
-    c' = m' = m + 1; at depth 1 it is counted apart.
-    - Wilf. Let p0 be the least generator above f but m, d = ``depth`` and
+    [n_p - 2, n_p].
+    - Wilf. Let p0 be the least generator above f, d = ``depth`` and
       k = n_p - d. A descendant d' <= d genera down has |P'| >= k,
       c' >= p0 + d' and |L'| = c' - g - d'. If k(p0 - g) > p0 + d - 1, then
       k >= 1 (as p0 >= c >= g), so
@@ -277,74 +277,54 @@ def _count_below(node, n_p, depth, cases, acc):
       and no descendant fails Wilf.
     - Buckets. If also _same_buckets(k, n_p, m), every descendant's key
       reads as |P| = n_p, and popcounts count them. With lo and hi the
-      generators above f but m below 3m and from 3m on, there are lo + hi
+      generators above f below 3m and from 3m on, there are lo + hi
       children, lo with c' <= 3m. At depth 2 the grandchildren are the pairs
       p < q, of which lo(lo - 1)/2 have q < 3m and lo hi + hi(hi - 1)/2 do
       not, plus one S' minus (p + m) for each child that gains p + m, with
       c'' <= 3m iff p < 2m. Only the gain needs a mask test, one per child.
-    A node that fails either test counts child by child: at depth 1 it
-    tests each child's gain in turn, and at depth 2 it streams its children
-    through _descend back into _count, which counts each one with its own
-    children. So does an ordinary node, S = {0} u [m, oo), at depth 2: it
-    reads p0 = m, and with n_p = m and g = m - 1 the Wilf test m - 2 > m + 1
-    fails.
+    A node that fails either test streams its children through _descend
+    back into _count, which counts each one and, at depth 2, its children
+    in turn. No ordinary node, S = {0} u [m, oo), passes, so every node
+    counted in bulk keeps m' = m: m is a generator above f, so p0 = m, and
+    with n_p = m and g = m - 1 the Wilf test (m - d) * 1 > m + d - 1 fails
+    for every d >= 1. Every other node has m < f.
     """
     mask, m, c, g, P, R = node
     high = P >> c << c          # the generators above f
-    if depth == 1 and m >= c:   # the ordinary child
-        high ^= 1 << m
-        k = n_p + 1
-        if k * (m - g) <= m:
-            acc[g + 1].wilf_violations.append(
-                _gens(R ^ (1 << (_K - m)) | (3 << (_K - 2 * m - 1))))
-        key = (g + 1, k, m + 1, True)
-        cases[key] = cases.get(key, 0) + 1
     if not high:
         return
     p = (high & -high).bit_length() - 1
+    if not (_same_buckets(n_p - depth, n_p, m)
+            and (n_p - depth) * (p - g) > p + depth - 1):
+        _count(islice(_descend(node, g + 1), 1, None), cases, acc, g + 1,
+               g + depth)
+        return
+    lo = (high & ((1 << 3 * m) - 1)).bit_count()
+    hi = high.bit_count() - lo
+    key = (g + 1, n_p, m, True)
+    cases[key] = cases.get(key, 0) + lo
+    key = (g + 1, n_p, m, False)
+    cases[key] = cases.get(key, 0) + hi
+    if depth == 1:
+        return
     # Rm >> (_K - x) has bit x - q for each generator q != m: q = p gives
     # bit m, which inner lacks, and q > p meets no member
     inner, Rm = mask ^ (1 << m), R ^ (1 << (_K - m))
-    if (_same_buckets(n_p - depth, n_p, m)
-            and (n_p - depth) * (p - g) > p + depth - 1):
-        lo = (high & ((1 << 3 * m) - 1)).bit_count()
-        hi = high.bit_count() - lo
-        key = (g + 1, n_p, m, True)
-        cases[key] = cases.get(key, 0) + lo
-        key = (g + 1, n_p, m, False)
-        cases[key] = cases.get(key, 0) + hi
-        if depth == 1:
-            return
-        two = 2 * m
-        gained_lo = gained_hi = 0
-        while high:
-            p = high.bit_length() - 1
-            high ^= 1 << p
-            if not inner & (Rm >> (_K - p - m)):
-                if p < two:
-                    gained_lo += 1
-                else:
-                    gained_hi += 1
-        key = (g + 2, n_p, m, True)
-        cases[key] = cases.get(key, 0) + lo * (lo - 1) // 2 + gained_lo
-        key = (g + 2, n_p, m, False)
-        cases[key] = (cases.get(key, 0) + lo * hi + hi * (hi - 1) // 2
-                      + gained_hi)
-    elif depth == 2:
-        _count(islice(_descend(node, g + 1), 1, None), cases, acc, g + 1,
-               g + 2)
-    else:
-        bad = acc[g + 1].wilf_violations
-        while high:
-            p = high.bit_length() - 1
-            high ^= 1 << p
-            x, k = p + m, n_p
-            if inner & (Rm >> (_K - x)):
-                k -= 1
-            if k * (p - g) <= p:    # |L'| = p - g
-                bad.append(_gens(R ^ (1 << (_K - p)) | (k == n_p) << (_K - x)))
-            key = (g + 1, k, m, p < 3 * m)
-            cases[key] = cases.get(key, 0) + 1
+    two = 2 * m
+    gained_lo = gained_hi = 0
+    while high:
+        p = high.bit_length() - 1
+        high ^= 1 << p
+        if not inner & (Rm >> (_K - p - m)):
+            if p < two:
+                gained_lo += 1
+            else:
+                gained_hi += 1
+    key = (g + 2, n_p, m, True)
+    cases[key] = cases.get(key, 0) + lo * (lo - 1) // 2 + gained_lo
+    key = (g + 2, n_p, m, False)
+    cases[key] = (cases.get(key, 0) + lo * hi + hi * (hi - 1) // 2
+                  + gained_hi)
 
 
 def _count(nodes, cases, acc, cut, g_max):

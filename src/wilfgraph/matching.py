@@ -182,21 +182,21 @@ def analyze(G: LoopyGraph, weak_edges=frozenset()) -> MatchingAnalysis:
                             _graph=G, _weak=weak)
 
 
-def edge_maximal_check(G: LoopyGraph) -> bool:
-    """For a graph edge-maximal for its vm: do the loopy vertices span a
-    loopy-complete subgraph?
+def edge_maximal_check(G: LoopyGraph) -> None:
+    """Raise NotEdgeMaximal if some edge or loop can still be added to G
+    without raising vm(G).
 
-    Raises NotEdgeMaximal if some edge can still be added without raising vm.
+    An edge-maximal graph's loopy vertices are pairwise adjacent, so there
+    is nothing more to report: for loopy a != b with no edge ab, a matching
+    of G + ab that uses ab can swap it for the loops at a and b, which touch
+    the same vertices, so vm(G + ab) = vm(G) and the check raises at ab.
     """
-    k, verts, complete = vm(G), G.vertices, True
+    k, verts = vm(G), G.vertices
     for i, a in enumerate(verts):
         for b in verts[i:]:
-            if not G.has_edge(a, b):
-                if vm(G.with_edge(a, b)) == k:
-                    what = f"loop at {a!r}" if a == b else f"edge ({a!r}, {b!r})"
-                    raise NotEdgeMaximal(f"{what} keeps vm at {k}")
-                complete &= not (G.has_edge(a, a) and G.has_edge(b, b))
-    return complete
+            if not G.has_edge(a, b) and vm(G.with_edge(a, b)) == k:
+                what = f"loop at {a!r}" if a == b else f"edge ({a!r}, {b!r})"
+                raise NotEdgeMaximal(f"{what} keeps vm at {k}")
 
 
 def extremal_edge_search(n: int, k: int, loops: int | None = None

@@ -254,9 +254,11 @@ def test_walk_only_census_matches_class_census(g_max):
 
 
 def test_walk_only_census_stops_a_genus_short(monkeypatch):
-    # the serial walk builds the nodes of genus < g_max - 1; of the 1,693
-    # nodes of genus 14, the 286 that are not counted in bulk stream again
-    # through _descend with their 463 children
+    # the serial walk builds the 4,107 nodes of genus < g_max - 1; of the
+    # 1,693 nodes of genus 14, the 286 that are not counted in bulk stream
+    # again through _descend with their 463 children, and of those children
+    # the 85 that are not counted in bulk either stream again with their 131
+    # children
     built = 0
     descend = enumeration._descend
 
@@ -268,7 +270,7 @@ def test_walk_only_census_stops_a_genus_short(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_descend", counted)
     res = run_census(16)
-    assert built == 1 + sum(NG[:14]) + 286 + 463
+    assert built == 1 + sum(NG[:14]) + 286 + 463 + 85 + 131
     assert res[15].count_ng == NG[14]
     assert res[16].count_ng == NG[15]
 
@@ -357,8 +359,11 @@ def test_count_below_matches_walk():
     # sit on the Wilf bound, (n_p - d)(p0 - g) = p0 + d - 1, with a
     # descendant d genera down that fails Wilf: <9, ..., 12, 14, ..., 17>
     # (genus 9 read as 12, d = 1) and <7, 10, 11, 12, 15, 16> (genus 9 read
-    # as 11, d = 2)
+    # as 11, d = 2); and the ordinary nodes <m, ..., 2m - 1> up to m = 30,
+    # which only the Wilf bound keeps out of the bulk count
     doctored = [_node(0b1111110001, 4, 6, 4, (4, 5, 6))]
+    doctored += [_node(1 | (1 << 2 * m) - (1 << m), m, m, m - 1,
+                       range(m, 2 * m)) for m in range(2, 31)]
     for gens, g in [((7, 9, 10, 12, 13, 15), 9),
                     ((9, 10, 11, 12, 14, 15, 16, 17), 12),
                     ((7, 10, 11, 12, 15, 16), 11)]:

@@ -179,11 +179,31 @@ def test_graphs_past_the_vertex_limit_skip_the_dp(monkeypatch):
 
 
 def test_edge_maximal_check():
-    assert edge_maximal_check(loopy_complete(3))
+    edge_maximal_check(loopy_complete(3))
     k5 = LoopyGraph(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert edge_maximal_check(k5)       # vacuous: no loops
+    edge_maximal_check(k5)
     with pytest.raises(NotEdgeMaximal):
         edge_maximal_check(LoopyGraph(range(4), [(0, 1), (2, 3)], []))
+
+
+def test_edge_maximal_catalog():
+    # of the 543 graphs on 1..5 vertices, 17 are edge-maximal for their vm,
+    # and in each of those the loopy vertices are pairwise adjacent
+    maximal = []
+    raised = 0
+    for n in range(1, 6):
+        for G in all_loopy_graphs(n):
+            try:
+                edge_maximal_check(G)
+            except NotEdgeMaximal:
+                raised += 1
+            else:
+                maximal.append(G)
+    assert (raised, len(maximal)) == (526, 17)
+    for G in maximal:
+        loopy = sorted(G.loops)
+        assert all(G.has_edge(a, b) for i, a in enumerate(loopy)
+                   for b in loopy[i + 1:])
 
 
 def test_extremal_five_four():
@@ -199,7 +219,7 @@ def test_extremal_five_four():
 def test_extremal_witnesses_edge_maximal():
     best, witnesses = extremal_edge_search(4, 3)
     for w in witnesses:
-        assert edge_maximal_check(w)
+        edge_maximal_check(w)
 
 
 def test_extremal_join_lower_bound():
