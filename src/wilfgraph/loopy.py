@@ -383,7 +383,7 @@ def _canonical_key(n, adj, loopmask) -> str:
 _catalog_cache: dict[int, tuple[LoopyGraph, ...]] = {}
 
 
-def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
+def all_loopy_graphs(n: int, keep=None) -> tuple[LoopyGraph, ...]:
     """All loopy graphs on exactly n vertices, one per isomorphism class.
 
     Built by vertex augmentation with canonical-key rejection, keeping the
@@ -393,13 +393,29 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
     and is left out. Skipping a neighbor set with j but not its twin i < j
     (same loop bit, rows equal outside {i, j}) keeps every representative:
     swapping i, j gives a smaller set, seen first.
+
+    ``keep(rows, loopmask)``, if given, is asked about every candidate in
+    positional form, the empty root included, before it is labeled, and a
+    candidate it refuses is dropped. It must be an isomorphism invariant
+    closed under vertex deletion, on graphs with isolated vertices too: then
+    the result is exactly the full catalog's graphs that keep passes, in the
+    same order. By induction, each kept level is the full level less the
+    classes keep refuses, in the same order. Every candidate of a passing
+    class passes (keep is invariant), and so does its parent, the candidate
+    less its last vertex (keep is closed under deletion), which is thus in
+    the kept level. So the kept build makes exactly the full build's
+    candidates of each passing class, in the same relative order, and keeps
+    the same first-seen representative. Only the ``keep=None`` catalog is
+    cached.
     """
     if n < 0 or n > _MAX_CATALOG:
         raise ValueError(f"catalog supports 0 <= n <= {_MAX_CATALOG}, got {n}")
-    if n in _catalog_cache:
+    if keep is None and n in _catalog_cache:
         return _catalog_cache[n]
 
-    level: dict[str, tuple[tuple[int, ...], int]] = {"0:0:0": ((), 0)}
+    level: dict[str, tuple[tuple[int, ...], int]] = {}
+    if keep is None or keep((), 0):
+        level["0:0:0"] = ((), 0)
     for k in range(1, n + 1):
         nxt: dict[str, tuple[tuple[int, ...], int]] = {}
         new_bit = 1 << (k - 1)
@@ -416,11 +432,15 @@ def all_loopy_graphs(n: int) -> tuple[LoopyGraph, ...]:
                                for i, row in enumerate(adj)] + [nbrs])
                 for loop in (0, new_bit) if nbrs or k < n else (new_bit,):
                     lm = loopmask | loop
+                    if keep is not None and not keep(grown, lm):
+                        continue
                     key = _canonical_key(k, grown, lm)
                     if key not in nxt:
                         nxt[key] = (grown, lm)
         level = nxt
 
-    _catalog_cache[n] = tuple(LoopyGraph._from_rows(tuple(range(n)), *level[k])
-                              for k in sorted(level))
-    return _catalog_cache[n]
+    graphs = tuple(LoopyGraph._from_rows(tuple(range(n)), *level[k])
+                   for k in sorted(level))
+    if keep is None:
+        _catalog_cache[n] = graphs
+    return graphs

@@ -199,16 +199,51 @@ def edge_maximal_check(G: LoopyGraph) -> None:
                 raise NotEdgeMaximal(f"{what} keeps vm at {k}")
 
 
+def _vm_at_most(k: int):
+    """keep(rows, loopmask) for all_loopy_graphs: whether vm <= k on the
+    positional form. A graph on at most k positions passes. One that a
+    greedy matching (each free position takes its lowest free neighbor,
+    else its loop) already touches on more than k fails, as the greedy count
+    is a lower bound on vm. The DP decides the rest."""
+    def keep(rows, loopmask):
+        n = len(rows)
+        if n <= k:
+            return True
+        free, touched = (1 << n) - 1, 0
+        for i, row in enumerate(rows):
+            if free >> i & 1:
+                nbrs = row & free
+                if nbrs:
+                    free ^= 1 << i | nbrs & -nbrs
+                    touched += 2
+                elif loopmask >> i & 1:
+                    free ^= 1 << i
+                    touched += 1
+        if touched > k:
+            return False
+        triples = [(1 << i | 1 << j, 2, 0) for i, row in enumerate(rows)
+                   for j in range(i + 1, n) if row >> j & 1]
+        triples += [(1 << i, 1, 0) for i in range(n) if loopmask >> i & 1]
+        return _solve_bb(triples, n)((1 << n) - 1)[0] <= k
+    return keep
+
+
 def extremal_edge_search(n: int, k: int, loops: int | None = None
                          ) -> tuple[int, tuple[LoopyGraph, ...]]:
     """Maximum edge count over loopy graphs on n vertices with vm = k.
 
-    Walks the isomorph-rejected catalog (n <= 6), optionally restricted to a
-    fixed number of loops, by decreasing edge count up to the first count
-    with vm = k, and returns it with its witnesses in catalog order. Raises
-    Infeasible when no graph matches.
+    Builds only the part of the isomorph-rejected catalog (n <= 6) with
+    vm <= k, which all_loopy_graphs may prune as it grows, since deleting a
+    vertex never raises vm; that part lists the full catalog's graphs with
+    vm <= k in catalog order. Optionally restricted to a fixed number of
+    loops, it is walked by decreasing edge count up to the first count with
+    vm = k, which is returned with its witnesses in catalog order. Raises
+    Infeasible when no graph matches. As vm <= n always, at k = n every
+    graph passes, so the cached full catalog serves, and for k > n the build
+    keeps nothing, not even the empty root, and labels no graph.
     """
-    graphs = [G for G in all_loopy_graphs(n)
+    keep = None if k == n else _vm_at_most(k if k < n else -1)
+    graphs = [G for G in all_loopy_graphs(n, keep=keep)
               if loops is None or G.loop_count == loops]
     graphs.sort(key=lambda G: -G.edge_count)       # stable: catalog order
     for edges, group in groupby(graphs, key=lambda G: G.edge_count):

@@ -10,8 +10,10 @@ from wilfgraph import (Infeasible, InvariantViolation, LoopyGraph,
                        NotEdgeMaximal, TooLarge, all_loopy_graphs,
                        analyze_matchings, edge_maximal_check,
                        extremal_edge_search, loopy_complete, vm)
+from wilfgraph import loopy
+from wilfgraph.loopy import _canonical_key
 from wilfgraph.matching import (_DP_MAX_VERTICES, _MAX_EDGES, _edge_triples,
-                                _solve_bb, _solve_blossom)
+                                _solve_bb, _solve_blossom, _vm_at_most)
 
 from oracles import brute_matching_stats, extremal_plain, random_loopy_graph
 
@@ -249,10 +251,50 @@ def test_extremal_matches_plain_loop():
     # count with a witness gives the plain loop's maximum, witnesses in
     # catalog order, and Infeasible message
     cases = [(n, k, loops) for n in range(6) for k in range(n + 2)
-             for loops in [None, *range(n + 1)]] + [(6, 4, None)]
+             for loops in [None, *range(n + 1)]]
+    cases += [(6, k, loops) for k in (2, 3, 4) for loops in [None, *range(7)]]
     for n, k, loops in cases:
         assert _extremal_or_message(extremal_edge_search, n, k, loops) == \
             _extremal_or_message(extremal_plain, n, k, loops), (n, k, loops)
+
+
+def test_catalog_kept_part_is_filtered_catalog():
+    # the build that drops graphs with vm > k as it grows lists the full
+    # catalog's graphs with vm <= k, in the same order and with the same
+    # labels, the empty root included (n = 0, k = -1 keeps nothing)
+    for n in range(7):
+        full = all_loopy_graphs(n)
+        for k in range(-1, n + 2 if n < 6 else 5):
+            assert all_loopy_graphs(n, keep=_vm_at_most(k)) == \
+                tuple(G for G in full if vm(G) <= k), (n, k)
+
+
+def test_filtered_catalog_is_not_cached(monkeypatch):
+    # a full catalog asked for after a filtered one is still whole
+    monkeypatch.setattr(loopy, "_catalog_cache", {})
+    for n, size in zip(range(1, 7), (1, 4, 14, 70, 454, 4552)):
+        all_loopy_graphs(n, keep=_vm_at_most(0))
+        assert len(all_loopy_graphs(n)) == size
+
+
+def test_extremal_labels_only_the_kept_part(monkeypatch):
+    # extremal(6, 4) labels 1,138 candidates, where the full catalog on 6
+    # vertices labels 25,836; k < 0 and k > n label none, and k = n reads
+    # the cached full catalog
+    all_loopy_graphs(6)
+    calls = []
+    monkeypatch.setattr(loopy, "_canonical_key",
+                        lambda *sig: calls.append(sig) or _canonical_key(*sig))
+    assert extremal_edge_search(6, 4)[0] == 11
+    assert len(calls) == 1138
+    calls.clear()
+    for k in (-1, 7):
+        with pytest.raises(Infeasible, match=f"on 6 vertices has vm = {k}$"):
+            extremal_edge_search(6, k)
+    assert extremal_edge_search(6, 6)[0] == 21
+    assert calls == []
+    with pytest.raises(ValueError, match="0 <= n <= 6"):
+        extremal_edge_search(7, 9)
 
 
 def test_analyze_builds_one_solver(monkeypatch):
