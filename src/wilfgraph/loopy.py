@@ -16,6 +16,19 @@ _MAX_CANONICAL = 32
 _MAX_CATALOG = 6
 
 
+def _row_pairs(rows, loopmask) -> list[tuple[int, int]]:
+    """The edges of the positional form (rows, loopmask) as position pairs
+    (i, j), i <= j: the true edges in order, then the loops."""
+    pairs = []
+    for i, row in enumerate(rows):
+        row >>= i + 1
+        while row:
+            low = row & -row
+            pairs.append((i, i + low.bit_length()))
+            row ^= low
+    return pairs + [(i, i) for i in bit_positions(loopmask)]
+
+
 class LoopyGraph:
     """Undirected graph with optional loops; every vertex meets an edge.
 
@@ -90,14 +103,7 @@ class LoopyGraph:
     def _pairs(self) -> list[tuple[int, int]]:
         """The edges as position pairs (i, j), i <= j: the true edges in
         order, then the loops."""
-        pairs = []
-        for i, row in enumerate(self._adj):
-            row >>= i + 1
-            while row:
-                low = row & -row
-                pairs.append((i, i + low.bit_length()))
-                row ^= low
-        return pairs + [(i, i) for i in bit_positions(self._loopmask)]
+        return _row_pairs(self._adj, self._loopmask)
 
     def all_edges(self) -> list[tuple]:
         """True edges plus loops, a loop at v appearing as (v, v). Sorted:
@@ -406,12 +412,14 @@ def all_loopy_graphs(n: int, keep=None) -> tuple[LoopyGraph, ...]:
     the kept level. So the kept build makes exactly the full build's
     candidates of each passing class, in the same relative order, and keeps
     the same first-seen representative. Only the ``keep=None`` catalog is
-    cached.
+    cached; once it is, a call with keep filters it and labels nothing.
     """
     if n < 0 or n > _MAX_CATALOG:
         raise ValueError(f"catalog supports 0 <= n <= {_MAX_CATALOG}, got {n}")
-    if keep is None and n in _catalog_cache:
-        return _catalog_cache[n]
+    if n in _catalog_cache:
+        graphs = _catalog_cache[n]
+        return graphs if keep is None else tuple(
+            G for G in graphs if keep(G._adj, G._loopmask))
 
     level: dict[str, tuple[tuple[int, ...], int]] = {}
     if keep is None or keep((), 0):

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import groupby
 
 from .errors import Infeasible, InvariantViolation, NotEdgeMaximal, TooLarge
-from .loopy import LoopyGraph, all_loopy_graphs
+from .loopy import LoopyGraph, _row_pairs, all_loopy_graphs
 
 _DP_MAX_VERTICES = 16
 _MAX_EDGES = 100
@@ -70,17 +70,24 @@ def check_edge_count(edges: int) -> None:
                        f"got at least {edges}")
 
 
-def _edge_triples(G: LoopyGraph, weak):
-    """(mask, touched, normal_touched) per edge, plus the edge list."""
-    check_edge_count(G.edge_count)
-    edges = G.all_edges()
+def _triples(pairs, weak=frozenset()):
+    """(mask, touched, normal_touched) per position pair (i, j), i <= j, a
+    loop when i == j; the pairs in weak get no normal bonus."""
     triples = []
-    for a, b in edges:
-        mask = 1 << G._pos[a] | 1 << G._pos[b]
+    for pair in pairs:
+        mask = 1 << pair[0] | 1 << pair[1]
         touch = mask.bit_count()        # a loop touches one vertex
-        bonus = 0 if (a, b) in weak else touch
-        triples.append((mask, touch, bonus))
-    return edges, triples
+        triples.append((mask, touch, 0 if pair in weak else touch))
+    return triples
+
+
+def _edge_triples(G: LoopyGraph, weak):
+    """(mask, touched, normal_touched) per edge, plus the edge list, in the
+    order of G.all_edges()."""
+    check_edge_count(G.edge_count)
+    pairs, verts, pos = G._pairs(), G.vertices, G._pos
+    return ([(verts[i], verts[j]) for i, j in pairs],
+            _triples(pairs, {(pos[a], pos[b]) for a, b in weak}))
 
 
 def _solve_bb(triples, n):
@@ -221,9 +228,7 @@ def _vm_at_most(k: int):
                     touched += 1
         if touched > k:
             return False
-        triples = [(1 << i | 1 << j, 2, 0) for i, row in enumerate(rows)
-                   for j in range(i + 1, n) if row >> j & 1]
-        triples += [(1 << i, 1, 0) for i in range(n) if loopmask >> i & 1]
+        triples = _triples(_row_pairs(rows, loopmask))
         return _solve_bb(triples, n)((1 << n) - 1)[0] <= k
     return keep
 
@@ -238,11 +243,11 @@ def extremal_edge_search(n: int, k: int, loops: int | None = None
     vm <= k in catalog order. Optionally restricted to a fixed number of
     loops, it is walked by decreasing edge count up to the first count with
     vm = k, which is returned with its witnesses in catalog order. Raises
-    Infeasible when no graph matches. As vm <= n always, at k = n every
-    graph passes, so the cached full catalog serves, and for k > n the build
-    keeps nothing, not even the empty root, and labels no graph.
+    Infeasible when no graph matches. As vm <= n always, no graph has
+    vm = k > n, so for k > n the build keeps nothing, not even the empty
+    root, and labels no graph.
     """
-    keep = None if k == n else _vm_at_most(k if k < n else -1)
+    keep = _vm_at_most(k if k <= n else -1)
     graphs = [G for G in all_loopy_graphs(n, keep=keep)
               if loops is None or G.loop_count == loops]
     graphs.sort(key=lambda G: -G.edge_count)       # stable: catalog order

@@ -258,15 +258,19 @@ def test_extremal_matches_plain_loop():
             _extremal_or_message(extremal_plain, n, k, loops), (n, k, loops)
 
 
-def test_catalog_kept_part_is_filtered_catalog():
+def test_catalog_kept_part_is_filtered_catalog(monkeypatch):
     # the build that drops graphs with vm > k as it grows lists the full
     # catalog's graphs with vm <= k, in the same order and with the same
-    # labels, the empty root included (n = 0, k = -1 keeps nothing)
+    # labels, the empty root included (n = 0, k = -1 keeps nothing); once
+    # the full catalog is cached, a filtered call gives the same from it
+    monkeypatch.setattr(loopy, "_catalog_cache", {})
     for n in range(7):
+        ks = range(-1, n + 2 if n < 6 else 5)
+        built = [all_loopy_graphs(n, keep=_vm_at_most(k)) for k in ks]
         full = all_loopy_graphs(n)
-        for k in range(-1, n + 2 if n < 6 else 5):
-            assert all_loopy_graphs(n, keep=_vm_at_most(k)) == \
-                tuple(G for G in full if vm(G) <= k), (n, k)
+        for k, kept in zip(ks, built):
+            assert kept == tuple(G for G in full if vm(G) <= k), (n, k)
+            assert all_loopy_graphs(n, keep=_vm_at_most(k)) == kept, (n, k)
 
 
 def test_filtered_catalog_is_not_cached(monkeypatch):
@@ -278,19 +282,31 @@ def test_filtered_catalog_is_not_cached(monkeypatch):
 
 
 def test_extremal_labels_only_the_kept_part(monkeypatch):
-    # extremal(6, 4) labels 1,138 candidates, where the full catalog on 6
-    # vertices labels 25,836; k < 0 and k > n label none, and k = n reads
-    # the cached full catalog
-    all_loopy_graphs(6)
-    calls = []
+    # a cold extremal(6, 4) labels 1,138 candidates, where the full catalog
+    # on 6 vertices labels 25,836; k < 0 and k > n label none, and once the
+    # full catalog is cached no search labels any. Of the 7,088 candidates
+    # the vm test sees, 291 have at most 4 positions, the greedy bound
+    # refuses 4,845 and the DP decides the other 1,952; the walk solves once
+    from wilfgraph import matching
+    monkeypatch.setattr(loopy, "_catalog_cache", {})
+    calls, solves = [], []
     monkeypatch.setattr(loopy, "_canonical_key",
                         lambda *sig: calls.append(sig) or _canonical_key(*sig))
-    assert extremal_edge_search(6, 4)[0] == 11
+    real = matching._solve_bb
+    monkeypatch.setattr(matching, "_solve_bb",
+                        lambda triples, n: solves.append(n) or real(triples, n))
+    cold = extremal_edge_search(6, 4)
+    assert cold[0] == 11
     assert len(calls) == 1138
+    assert len(solves) == 1953
     calls.clear()
     for k in (-1, 7):
         with pytest.raises(Infeasible, match=f"on 6 vertices has vm = {k}$"):
             extremal_edge_search(6, k)
+    assert calls == []
+    all_loopy_graphs(6)
+    calls.clear()
+    assert extremal_edge_search(6, 4) == cold
     assert extremal_edge_search(6, 6)[0] == 21
     assert calls == []
     with pytest.raises(ValueError, match="0 <= n <= 6"):
